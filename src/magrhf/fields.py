@@ -46,14 +46,6 @@ class CellMismatchError(ValueError):
     """Raised when an operation mixes fields living on different cells."""
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-
-
 @dataclass(frozen=True)
 class Cell:
     """Cubic periodic cell with edge ``L`` (bohr) and ``n`` points per axis.
@@ -158,10 +150,12 @@ class Cell:
         return (self.coords - c + 0.5 * self.L) % self.L - 0.5 * self.L
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        return _fftn(values) / self.n**3
+        """Series coefficients ``fftn(values) / n**3`` over the last three axes."""
+        return scipy.fft.fftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
 
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        return _ifftn(coeffs) * self.n**3
+        """Samples of the series with coefficients ``coeffs`` (the inverse of :meth:`to_spectral`)."""
+        return scipy.fft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -423,10 +423,8 @@ def checkpoint_save(state: SCFState, path: str) -> None:
     cell = state.gamma.cell
     n_orb = len(state.gamma.orbitals)
     mode = _MODES.get(state.gamma.mode, 0)
-    # alpha is not carried by the state; stored as 0 when unknown
-    alpha = getattr(state, "alpha", 0.0)
     header = _MAGIC + struct.pack(
-        "<IdIIBddI", _VERSION, cell.L, cell.n, n_orb, mode, alpha,
+        "<IdIIBddI", _VERSION, cell.L, cell.n, n_orb, mode, state.alpha,
         state.fermi_energy, state.iteration,
     )
     occ = np.ascontiguousarray(state.gamma.occupations, dtype="<f8")

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .density import (
     DensityMatrix,
@@ -49,6 +50,7 @@ from .hamiltonian import (
     SystemSpec,
     external_potential,
     hartree,
+    make_hamiltonian,
 )
 
 __all__ = [
@@ -111,65 +113,47 @@ class EigensolveError(RuntimeError):
         self.residuals = residuals
 
 
-def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential | None):
-    """Return a batched apply for H = (1/2)[sigma.(p+A)]^2 + v_eff.
+def _gram(cell: Cell, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Gram matrix ``dV conj(A) B^T`` of two row blocks, shapes (ma|mb, N).
 
-    The callable maps arrays of shape (m, 2, n, n, n) to arrays of the
-    same shape.  Derivatives act in Fourier space, potentials pointwise,
-    and the ``A . p + p . A`` cross term is kept symmetric so the
-    operator is Hermitian to roundoff.
+    One ``zgemm`` on the transposed (Fortran-ordered) views conjugates
+    ``A`` inside BLAS, so no conjugated copy is made.
     """
-    k = cell.k
-    k2 = cell.k2_full
-    v = None if v_eff is None else v_eff.values
-    a = b = None
-    if A is not None and not A.is_zero():
-        a = A.A.values
-        b = A.B.values
-
-    def apply_h(X: np.ndarray) -> np.ndarray:
-        c = cell.to_spectral(X)
-        out = cell.from_spectral(0.5 * k2[None, None] * c)
-        if a is not None:
-            grad = cell.from_spectral(1j * k[None, :, None] * c[:, None])
-            adotp = -1j * np.sum(a[None, :, None] * grad, axis=1)
-            apsi = a[None, :, None] * X[:, None]
-            pdota = -1j * np.sum(
-                cell.from_spectral(1j * k[None, :, None] * cell.to_spectral(apsi)), axis=1
-            )
-            out += 0.5 * (adotp + pdota + np.sum(a**2, axis=0)[None, None] * X)
-            bx, by, bz = b
-            up, dn = X[:, 0], X[:, 1]
-            out[:, 0] += 0.5 * (bz * up + (bx - 1j * by) * dn)
-            out[:, 1] += 0.5 * ((bx + 1j * by) * up - bz * dn)
-        if v is not None:
-            out += v[None, None] * X
-        return out
-
-    return apply_h
+    return zgemm(cell.dV, A.T, B.T, trans_a=2)
 
 
-def _block_inner(cell: Cell, Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-    """Gram matrix of two orbital blocks, shapes (ma|mb, c, n, n, n)."""
-    flat_a = Xa.reshape(Xa.shape[0], -1)
-    flat_b = Xb.reshape(Xb.shape[0], -1)
-    return (flat_a.conj() @ flat_b.T) * cell.dV
+def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
+    """Grid norms of the rows of a complex block (rows, N)."""
+    f = X.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", f, f) * cell.dV)
 
 
-def _normalize_columns(cell: Cell, X: np.ndarray) -> np.ndarray:
-    """Scale each block vector to unit norm, dropping vanishing ones."""
-    nrm = np.sqrt(np.sum(np.abs(X.reshape(X.shape[0], -1)) ** 2, axis=1) * cell.dV)
+def _subtract_lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray) -> None:
+    """``Y -= C^T X`` in place, as one ``zgemm`` on the transposed views.
+
+    ``Y`` must be C-ordered so that ``Y.T`` is the Fortran-ordered
+    array BLAS overwrites.
+    """
+    zgemm(-1.0, X.T, C, beta=1.0, c=Y.T, overwrite_c=1)
+
+
+def _normalize_rows(cell: Cell, X: np.ndarray) -> np.ndarray:
+    """Scale each row of a block it owns to unit norm, dropping vanishing ones."""
+    nrm = _row_norms(cell, X)
     good = nrm > 1e-150
-    return X[good] / nrm[good][:, None, None, None, None]
+    if not good.all():
+        X, nrm = X[good], nrm[good]
+    X /= nrm[:, None]
+    return X
 
 
 def _orthonormalize(cell: Cell, X: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
     """Orthonormalize a block against itself, dropping null directions."""
-    g = _block_inner(cell, X, X)
+    g = _gram(cell, X, X)
     vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
     keep = vals > drop_tol * max(float(vals.max()), 1e-300)
     t = vecs[:, keep] / np.sqrt(vals[keep])
-    return np.tensordot(t.T, X, axes=(1, 0))
+    return t.T @ X
 
 
 def eigensolve(
@@ -194,39 +178,43 @@ def eigensolve(
 
     The preconditioner is the shifted free-particle resolvent
     ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to each residual.
+    Blocks are kept as (rows, components * n^3) arrays and reshaped
+    only around ``apply_h`` and the preconditioner.
     """
     n = cell.n
     b = max(block or (count + 2), count, 2)
     rng = np.random.default_rng(seed)
-    shape = (b, components) + (n,) * 3
+    field_shape = (components,) + (n,) * 3
+    shape = (b, components * n**3)
     if X0 is not None:
-        X = np.array(X0, dtype=complex)[:b]
+        X = np.array(X0, dtype=complex)[:b].reshape(-1, shape[1])
         if X.shape[0] < b:
-            extra_shape = (b - X.shape[0],) + shape[1:]
+            extra_shape = (b - X.shape[0], shape[1])
             extra = rng.standard_normal(extra_shape) + 1j * rng.standard_normal(extra_shape)
             X = np.concatenate([X, extra], axis=0)
     else:
         X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def apply(Y: np.ndarray) -> np.ndarray:
+        return apply_h(Y.reshape((-1,) + field_shape)).reshape(Y.shape)
+
     X = _orthonormalize(cell, X)
-    HX = apply_h(X)
+    HX = apply(X)
     P = HP = None
     k2 = cell.k2_full
     rel = np.full(b, np.inf)
 
-    def lincomb(C: np.ndarray, blk: np.ndarray) -> np.ndarray:
-        return np.tensordot(C.T, blk, axes=(1, 0))
-
     for it in range(1, max_iter + 1):
         # Rayleigh-Ritz rotation inside the current block
-        h = _block_inner(cell, X, HX)
+        h = _gram(cell, X, HX)
         theta, U = np.linalg.eigh(0.5 * (h + h.conj().T))
-        X = lincomb(U, X)
-        HX = lincomb(U, HX)
-        R = HX - theta[:, None, None, None, None] * X
-        res_norms = np.sqrt(np.sum(np.abs(R.reshape(b, -1)) ** 2, axis=1) * cell.dV)
-        rel = res_norms / np.maximum(1.0, np.abs(theta))
+        X = U.T @ X
+        HX = U.T @ HX
+        R = np.multiply(X, -theta[:, None])
+        R += HX
+        rel = _row_norms(cell, R) / np.maximum(1.0, np.abs(theta))
         if np.all(rel[:count] <= tol):
-            return theta, X, res_norms, it
+            return theta, X.reshape((b,) + field_shape), rel, it
 
         # preconditioned residuals of the unconverged pairs only
         # (soft locking: converged vectors stay in the basis but stop
@@ -234,35 +222,36 @@ def eigensolve(
         active = rel > 0.25 * tol
         if not np.any(active):
             active = np.ones(b, dtype=bool)
-        R = R[active]
+        if not active.all():
+            R = R[active]
         shift = np.maximum(1.0, -theta[active] + 1.0)
-        chat = cell.to_spectral(R)
-        W = cell.from_spectral(chat / (0.5 * k2[None, None] + shift[:, None, None, None, None]))
-        W = _normalize_columns(cell, W)
+        chat = cell.to_spectral(R.reshape((-1,) + field_shape))
+        chat /= 0.5 * k2 + shift[:, None, None, None, None]
+        W = _normalize_rows(cell, cell.from_spectral(chat).reshape(R.shape))
         for _ in range(2):
-            W -= lincomb(_block_inner(cell, X, W), X)
+            _subtract_lincomb(W, _gram(cell, X, W), X)
             if P is not None:
-                W -= lincomb(_block_inner(cell, P, W), P)
-            W = _normalize_columns(cell, W)
-        gw = _block_inner(cell, W, W)
+                _subtract_lincomb(W, _gram(cell, P, W), P)
+            W = _normalize_rows(cell, W)
+        gw = _gram(cell, W, W)
         vals, vecs = np.linalg.eigh(0.5 * (gw + gw.conj().T))
         keep = vals > 1e-10 * max(float(vals.max()), 1e-300)
         if not np.any(keep):
             W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            W -= lincomb(_block_inner(cell, X, W), X)
-            gw = _block_inner(cell, W, W)
+            _subtract_lincomb(W, _gram(cell, X, W), X)
+            gw = _gram(cell, W, W)
             vals, vecs = np.linalg.eigh(0.5 * (gw + gw.conj().T))
             keep = vals > 1e-10 * max(float(vals.max()), 1e-300)
         Tw = vecs[:, keep] / np.sqrt(vals[keep])
-        W = lincomb(Tw, W)
-        HW = apply_h(W)
+        W = Tw.T @ W
+        HW = apply(W)
 
         blocks = [X, W] + ([P] if P is not None else [])
         h_blocks = [HX, HW] + ([HP] if P is not None else [])
         S = np.concatenate(blocks, axis=0)
         HS = np.concatenate(h_blocks, axis=0)
-        h_sub = _block_inner(cell, S, HS)
-        g_sub = _block_inner(cell, S, S)
+        h_sub = _gram(cell, S, HS)
+        g_sub = _gram(cell, S, S)
         # S is orthonormal to roundoff; solve the small generalized
         # problem anyway to absorb the leftover non-orthogonality.
         vals, vecs = np.linalg.eigh(0.5 * (g_sub + g_sub.conj().T))
@@ -271,28 +260,27 @@ def eigensolve(
         h_o = T.conj().T @ (0.5 * (h_sub + h_sub.conj().T)) @ T
         evals, evecs = np.linalg.eigh(0.5 * (h_o + h_o.conj().T))
         C = T @ evecs[:, :b]
-        X_new = lincomb(C, S)
-        HX_new = lincomb(C, HS)
+        X_new = C.T @ S
+        HX_new = C.T @ HS
 
         # implicit conjugate directions: the W/P part of the new block
         C_wp = C[b:, :]
-        S_wp = S[b:]
-        HS_wp = HS[b:]
-        P = lincomb(C_wp, S_wp)
-        HP = lincomb(C_wp, HS_wp)
+        P = C_wp.T @ S[b:]
+        HP = C_wp.T @ HS[b:]
         for _ in range(2):
-            proj = _block_inner(cell, X_new, P)
-            P -= lincomb(proj, X_new)
-            HP -= lincomb(proj, HX_new)
-            nrm = np.sqrt(np.sum(np.abs(P.reshape(P.shape[0], -1)) ** 2, axis=1) * cell.dV)
+            proj = _gram(cell, X_new, P)
+            _subtract_lincomb(P, proj, X_new)
+            _subtract_lincomb(HP, proj, HX_new)
+            nrm = _row_norms(cell, P)
             good = nrm > 1e-150
-            P, HP, nrm = P[good], HP[good], nrm[good]
+            if not good.all():
+                P, HP, nrm = P[good], HP[good], nrm[good]
             if P.shape[0] == 0:
                 break
-            scale = 1.0 / nrm
-            P = P * scale[:, None, None, None, None]
-            HP = HP * scale[:, None, None, None, None]
-        gp = _block_inner(cell, P, P) if P.shape[0] else np.zeros((0, 0))
+            scale = (1.0 / nrm)[:, None]
+            P *= scale
+            HP *= scale
+        gp = _gram(cell, P, P) if P.shape[0] else np.zeros((0, 0))
         if gp.size:
             vals, vecs = np.linalg.eigh(0.5 * (gp + gp.conj().T))
             keep = vals > 1e-8 * max(float(vals.max()), 1e-300)
@@ -300,8 +288,8 @@ def eigensolve(
             keep = np.zeros(0, dtype=bool)
         if np.any(keep):
             Tp = vecs[:, keep] / np.sqrt(vals[keep])
-            P = lincomb(Tp, P)
-            HP = lincomb(Tp, HP)
+            P = Tp.T @ P
+            HP = Tp.T @ HP
         else:
             P = HP = None
         X, HX = X_new, HX_new
@@ -457,6 +445,8 @@ class SCFState:
     energy_history: tuple[float, ...] = ()
     inequality_ledger: tuple[dict, ...] = ()
     forced_energy_increases: int = 0
+    #: coupling of the solved system; 0 when unknown
+    alpha: float = 0.0
 
     @property
     def residuals(self) -> tuple[float, float, float]:
@@ -684,6 +674,7 @@ def scf_solve(
             energy_history=tuple(energy_history),
             inequality_ledger=tuple(ledger),
             forced_energy_increases=forced,
+            alpha=spec.alpha,
         )
         if cand.energy.total < config.energy_floor:
             state.flag = "instability"

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from magrhf.runio import checkpoint_load
+
 BASE = {
     "system": {
         "cell": {"L": 8.0, "n": 12},
@@ -49,6 +51,7 @@ def test_scf_subcommand_and_checkpoint(tmp_path):
     assert record["run"]["converged"] is True
     assert record["results"]["energy"]["total"]["unit"] == "hartree"
     assert os.path.exists(ckpt)
+    assert checkpoint_load(ckpt).alpha == BASE["system"]["alpha"]
     # warm restart from the converged checkpoint finishes in <= 2 iterations
     proc2, record2, _ = _run("scf", BASE, tmp_path, extra=("--checkpoint", ckpt))
     assert proc2.returncode == 0

@@ -40,6 +40,7 @@ from magrhf.hamiltonian import (
     green_function_GR,
     hartree,
     magnetic_energy,
+    make_hamiltonian,
 )
 
 CELL = Cell(9.0, 24)
@@ -118,6 +119,67 @@ def test_expand_kinetic_identity():
         m = np.stack([2 * cross.real, 2 * cross.imag, np.abs(up) ** 2 - np.abs(dn) ** 2])
         bm = float(np.sum(A.B.values * m) * CELL.dV)
         assert abs(pauli - (lap + bm)) < 1e-9 * max(abs(pauli), 1.0)
+
+
+def _four_term_oracle(cell, X, A):
+    """(1/2)[sigma.(p+A)]^2 X with p^2, A.p and p.(A .) each transformed on its own."""
+    k, a = cell.k, A.A.values
+    c = cell.to_spectral(X)
+    p2 = cell.from_spectral(cell.k2_full * c)
+    adotp = -1j * sum(a[i] * cell.from_spectral(1j * k[i] * c) for i in range(3))
+    pdota = -1j * sum(cell.from_spectral(1j * k[i] * cell.to_spectral(a[i] * X)) for i in range(3))
+    lap = p2 + adotp + pdota + np.sum(a**2, axis=0) * X
+    bx, by, bz = A.B.values
+    up, dn = X[..., 0, :, :, :], X[..., 1, :, :, :]
+    sigma_b = np.stack([bz * up + (bx - 1j * by) * dn, (bx + 1j * by) * up - bz * dn], axis=-4)
+    return lap, 0.5 * (lap + sigma_b)
+
+
+def _small_magnetic_problem(seed=31):
+    cell = Cell(6.0, 8)
+    rng = np.random.default_rng(seed)
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.3 * rng.standard_normal((3,) + (8,) * 3))))
+    X = rng.standard_normal((3, 2) + (8,) * 3) + 1j * rng.standard_normal((3, 2) + (8,) * 3)
+    return cell, A, X
+
+
+def test_kinetic_kernel_matches_four_term_expansion():
+    cell, A, X = _small_magnetic_problem()
+    lap, pauli = _four_term_oracle(cell, X, A)
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(make_hamiltonian(cell, None, A)(X), pauli) <= 1e-13
+    psi = SpinorField(cell, X[1])
+    assert rel(apply_pauli_kinetic(psi, A).values, pauli[1]) <= 1e-13
+    assert rel(apply_magnetic_laplacian(psi, A).values, lap[1]) <= 1e-13
+
+
+def test_kinetic_transform_counts(monkeypatch):
+    # the FFT count of an apply is fixed by the algorithm: 8 scalar
+    # transforms per spinor component with A != 0, 2 with A = 0
+    cell, A, X = _small_magnetic_problem()
+    counts = []
+    for name in ("to_spectral", "from_spectral"):
+        original = getattr(Cell, name)
+
+        def counted(self, values, _original=original):
+            counts.append(int(np.prod(values.shape[:-3])))
+            return _original(self, values)
+
+        monkeypatch.setattr(Cell, name, counted)
+
+    def transforms(fn, *args):
+        counts.clear()
+        fn(*args)
+        return sum(counts)
+
+    components = X.shape[0] * X.shape[1]
+    assert transforms(make_hamiltonian(cell, None, A), X) == 8 * components
+    assert transforms(make_hamiltonian(cell, None, None), X) == 2 * components
+    assert transforms(make_hamiltonian(cell, None, MagneticPotential.zero(cell)), X) == 2 * components
+    assert transforms(apply_pauli_kinetic, SpinorField(cell, X[0]), A) == 16
 
 
 def test_gauge_covariance_fixed_field():

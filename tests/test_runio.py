@@ -118,6 +118,7 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
     p2 = os.path.join(tmp_path, "b.ckpt")
     checkpoint_save(state, p1)
     data = checkpoint_load(p1)
+    assert data.alpha == spec.alpha
     # reconstruct an equivalent state container and save again
     from magrhf.density import DensityMatrix
     from magrhf.fields import SpinorField, VectorField
@@ -139,6 +140,7 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
         residual_field=0.0,
         residual_continuity=0.0,
         converged=True,
+        alpha=data.alpha,
     )
     checkpoint_save(clone, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()

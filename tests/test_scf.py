@@ -33,6 +33,8 @@ def test_free_operator_spectrum():
     # multiplicity 2 (spin) x 6 (directions)
     assert np.abs(levels[:2]).max() < 1e-11
     assert_allclose(levels[2:8], k1, rtol=1e-10)
+    # relative residuals of the converged pairs
+    assert np.all(res[:8] <= 1e-10)
     # orthonormal orbitals
     flat = orbs.reshape(len(levels), -1)
     gram = flat.conj() @ flat.T * cell.dV
@@ -52,6 +54,25 @@ def test_eigensolve_matches_dense_oracle():
     ref = np.linalg.eigvalsh(H)
     levels, _, _, _ = eigensolve(apply_h, cell, 5, block=8, tol=1e-11, seed=0, max_iter=600)
     assert np.abs(levels[:5] - ref[:5]).max() < 1e-9
+
+
+def test_eigensolve_scalar_block_matches_dense_oracle():
+    # components=1 is the spin-free oracle's configuration
+    cell = Cell(6.0, 6)
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((6,) * 3)
+
+    def apply_h(X):
+        return cell.from_spectral(0.5 * cell.k2_full * cell.to_spectral(X)) + v * X
+
+    dim = 6**3
+    H = apply_h(np.eye(dim, dtype=complex).reshape(dim, 1, 6, 6, 6)).reshape(dim, dim).T
+    assert np.abs(H - H.conj().T).max() < 1e-13
+    ref = np.linalg.eigvalsh(H)
+    levels, orbs, res, _ = eigensolve(apply_h, cell, 4, block=6, tol=1e-11, seed=0, max_iter=600, components=1)
+    assert orbs.shape == (6, 1, 6, 6, 6)
+    assert np.all(res[:4] <= 1e-11)
+    assert np.abs(levels[:4] - ref[:4]).max() < 1e-9
 
 
 def test_eigensolve_zero_mode_level_drops_under_refinement():
