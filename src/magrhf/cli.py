@@ -21,15 +21,15 @@ configured tolerance, 2 for a flagged (non-converged or violating) run,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .constants import C2_DEFAULT, C_LT_CLASSICAL
-from .density import density, kinetic_inequality_report
+from .density import DensityMatrix, kinetic_inequality_report
 from .fields import Cell
 from .runio import (
     CheckpointError,
@@ -53,40 +53,32 @@ from .zeromodes import (
     sample_on_cell,
 )
 
-SUBCOMMANDS = (
-    "scf",
-    "scf-periodic",
-    "zero-mode",
-    "beta-bound",
-    "alpha-c",
-    "instability-scan",
-    "alpha-scan",
-    "tf-bound",
-    "check-inequalities",
-)
+_LEDGER_COLUMNS = ("kinetic_trace", "lieb_thirring_lhs", "hoffmann_ostenhof_lhs", "sobolev_lhs")
 
 
-def _energy_results(state) -> dict:
-    e = state.energy
-    return {
-        "energy": {k: tagged(v, "hartree") for k, v in e.as_dict().items()},
-        "fermi_energy": tagged(state.fermi_energy, "hartree"),
-        "iterations": state.iteration,
-        "levels": [tagged(v, "hartree") for v in np.asarray(state.levels).tolist()],
-        "occupations": {"values": np.asarray(state.gamma.occupations).tolist(),
-                        "unit": "dimensionless"},
-        "trace": tagged(state.gamma.trace(), "dimensionless"),
-        "field_energy_raw": tagged(state.A.field_energy_raw, "dimensionless"),
-        "forced_energy_increases": state.forced_energy_increases,
-        "inequality_violations": _violation_count(state),
-    }
+def _inequalities_ok(report: dict) -> bool:
+    return bool(report["lieb_thirring_ok"] and report["hoffmann_ostenhof_ok"] and report["sobolev_ok"])
 
 
-def _violation_count(state) -> int:
-    return sum(
-        1
+def _inequality_table(state) -> tuple[tuple, list]:
+    """The per-iterate inequality audit as a (header, rows) table."""
+    rows = [
+        (r["iteration"], *(r[c] for c in _LEDGER_COLUMNS), int(_inequalities_ok(r)))
         for r in state.inequality_ledger
-        if not (r["lieb_thirring_ok"] and r["hoffmann_ostenhof_ok"] and r["sobolev_ok"])
+    ]
+    return ("iteration", *_LEDGER_COLUMNS, "ok"), rows
+
+
+def _violations(table: tuple[tuple, list]) -> int:
+    return sum(1 - row[-1] for row in table[1])
+
+
+def _inequality_constants(cfg: RunConfig) -> tuple[float, float]:
+    """C_LT and C2, with the package defaults for unset values."""
+    c = cfg.constants
+    return (
+        C_LT_CLASSICAL if c.C_LT is None else c.C_LT,
+        C2_DEFAULT if c.C2 is None else c.C2,
     )
 
 
@@ -98,62 +90,56 @@ def _residuals_dict(state, tol: float) -> dict:
     }
 
 
-def _run_scf(cfg: RunConfig, mode: str, checkpoint: str | None) -> ResultRecord:
+# Each runner takes the config and the --checkpoint path (read only by
+# the SCF runners) and returns the ResultRecord fields of its run.
+
+
+def _run_scf(cfg: RunConfig, checkpoint: str | None, *, mode: str) -> dict:
     spec = cfg.system_spec(mode)
     scf_cfg = cfg.scf_config()
     initial = None
     if checkpoint:
         try:
-            data = checkpoint_load(checkpoint)
-            initial = data.initial_for(spec)
+            initial = checkpoint_load(checkpoint).initial_for(spec)
         except FileNotFoundError:
             initial = None  # fresh start; the file will be written on success
     state = scf_solve(spec, scf_cfg, initial=initial)
-    record = ResultRecord(
-        subcommand="scf" if mode == "molecular" else "scf-periodic",
-        config=cfg,
-        seed=cfg.seed,
-        converged=state.converged,
-        flags=tuple(f for f in (state.flag,) if f),
-        results=_energy_results(state),
-        residuals=_residuals_dict(state, scf_cfg.tol),
-    )
-    record.tables["energy_history"] = (
-        ("iteration", "total_energy_hartree"),
-        [(i + 1, e) for i, e in enumerate(state.energy_history)],
-    )
-    record.tables["inequalities"] = (
-        ("iteration", "kinetic_trace", "lieb_thirring_lhs", "hoffmann_ostenhof_lhs",
-         "sobolev_lhs", "ok"),
-        [
-            (
-                r["iteration"],
-                r["kinetic_trace"],
-                r["lieb_thirring_lhs"],
-                r["hoffmann_ostenhof_lhs"],
-                r["sobolev_lhs"],
-                int(r["lieb_thirring_ok"] and r["hoffmann_ostenhof_ok"] and r["sobolev_ok"]),
-            )
-            for r in state.inequality_ledger
-        ],
-    )
+    inequalities = _inequality_table(state)
+    results = {
+        "energy": {k: tagged(v, "hartree") for k, v in state.energy.as_dict().items()},
+        "fermi_energy": tagged(state.fermi_energy, "hartree"),
+        "iterations": state.iteration,
+        "levels": [tagged(v, "hartree") for v in np.asarray(state.levels).tolist()],
+        "occupations": {"values": np.asarray(state.gamma.occupations).tolist(),
+                        "unit": "dimensionless"},
+        "trace": tagged(state.gamma.trace(), "dimensionless"),
+        "field_energy_raw": tagged(state.A.field_energy_raw, "dimensionless"),
+        "forced_energy_increases": state.forced_energy_increases,
+        "inequality_violations": _violations(inequalities),
+    }
     if checkpoint:
         checkpoint_save(state, checkpoint)
-    return record
+    return dict(
+        converged=state.converged,
+        flags=tuple(f for f in (state.flag,) if f),
+        results=results,
+        residuals=_residuals_dict(state, scf_cfg.tol),
+        tables={
+            "energy_history": (
+                ("iteration", "total_energy_hartree"),
+                [(i + 1, e) for i, e in enumerate(state.energy_history)],
+            ),
+            "inequalities": inequalities,
+        },
+    )
 
 
-def _run_zero_mode(cfg: RunConfig) -> ResultRecord:
+def _run_zero_mode(cfg: RunConfig, checkpoint: str | None) -> dict:
     zm = cfg.zero_mode
     fam = dilate(loss_yau(zm.spin_direction), zm.dilation)
-    rows = []
-    for n in zm.box_ns:
-        cell = Cell(zm.box_L, int(n))
-        rows.append((int(n), grid_residual(fam, cell)))
+    rows = [(n, grid_residual(fam, Cell(zm.box_L, n))) for n in zm.box_ns]
     decreasing = all(b[1] < a[1] for a, b in zip(rows, rows[1:]))
-    record = ResultRecord(
-        subcommand="zero-mode",
-        config=cfg,
-        seed=cfg.seed,
+    return dict(
         converged=decreasing,
         flags=() if decreasing else ("residual_not_decreasing",),
         results={
@@ -166,77 +152,46 @@ def _run_zero_mode(cfg: RunConfig) -> ResultRecord:
         residuals={
             f"grid_n{n}": {"value": r, "tolerance": None, "unit": "relative"} for n, r in rows
         },
+        tables={"residuals": (("n", "relative_residual"), rows)},
     )
-    record.tables["residuals"] = (("n", "relative_residual"), rows)
-    return record
 
 
-def _run_beta_bound(cfg: RunConfig) -> ResultRecord:
+_THRESHOLD_COLUMNS = (
+    ("z", "dimensionless"),
+    ("epsilon_star", "dimensionless"),
+    ("beta_upper_bound", "hartree"),
+    ("alpha_c_upper_bound", "dimensionless"),
+)
+
+
+def _run_threshold(cfg: RunConfig, checkpoint: str | None, *, table: str) -> dict:
+    """The rank-1 upper bound on beta per charge; the ``alpha_c`` table adds alpha_c."""
+    with_alpha_c = table == "alpha_c"
+    columns = _THRESHOLD_COLUMNS if with_alpha_c else _THRESHOLD_COLUMNS[:3]
     fam = loss_yau(cfg.zero_mode.spin_direction)
     rows = []
     for z in cfg.scan.zs:
         eps_star, beta_ub = beta_rank1_upper_bound(z, cfg.system.N, fam)
-        rows.append((z, eps_star, beta_ub))
-    record = ResultRecord(
-        subcommand="beta-bound",
-        config=cfg,
-        seed=cfg.seed,
+        row = (z, eps_star, beta_ub)
+        rows.append(row + (alpha_c_from_beta(beta_ub),) if with_alpha_c else row)
+    return dict(
         results={
             "N": tagged(cfg.system.N, "dimensionless"),
             "rows": [
-                {
-                    "z": tagged(z, "dimensionless"),
-                    "epsilon_star": tagged(e, "dimensionless"),
-                    "beta_upper_bound": tagged(b, "hartree"),
-                }
-                for z, e, b in rows
+                {name: tagged(v, unit) for (name, unit), v in zip(columns, row)} for row in rows
             ],
         },
+        tables={table: (tuple(name for name, _ in columns), rows)},
     )
-    record.tables["beta"] = (("z", "epsilon_star", "beta_upper_bound"), rows)
-    return record
 
 
-def _run_alpha_c(cfg: RunConfig) -> ResultRecord:
-    fam = loss_yau(cfg.zero_mode.spin_direction)
-    rows = []
-    for z in cfg.scan.zs:
-        eps_star, beta_ub = beta_rank1_upper_bound(z, cfg.system.N, fam)
-        rows.append((z, eps_star, beta_ub, alpha_c_from_beta(beta_ub)))
-    record = ResultRecord(
-        subcommand="alpha-c",
-        config=cfg,
-        seed=cfg.seed,
-        results={
-            "N": tagged(cfg.system.N, "dimensionless"),
-            "rows": [
-                {
-                    "z": tagged(z, "dimensionless"),
-                    "epsilon_star": tagged(e, "dimensionless"),
-                    "beta_upper_bound": tagged(b, "hartree"),
-                    "alpha_c_upper_bound": tagged(a, "dimensionless"),
-                }
-                for z, e, b, a in rows
-            ],
-        },
-    )
-    record.tables["alpha_c"] = (
-        ("z", "epsilon_star", "beta_upper_bound", "alpha_c_upper_bound"),
-        rows,
-    )
-    return record
-
-
-def _run_instability_scan(cfg: RunConfig) -> ResultRecord:
+def _run_instability_scan(cfg: RunConfig, checkpoint: str | None) -> dict:
     if len(cfg.system.nuclei) != 1:
         raise ConfigError("instability-scan supports a single nucleus only")
     z = cfg.system.nuclei[0].z
     fam = loss_yau(cfg.zero_mode.spin_direction)
     scan = instability_scan(z, cfg.system.N, cfg.system.alpha, list(cfg.scan.lambdas), fam)
-    record = ResultRecord(
-        subcommand="instability-scan",
-        config=cfg,
-        seed=cfg.seed,
+    return dict(
         results={
             "alpha": tagged(scan.alpha, "dimensionless"),
             "alpha_c_upper_bound": tagged(scan.alpha_c_ub, "dimensionless"),
@@ -245,60 +200,44 @@ def _run_instability_scan(cfg: RunConfig) -> ResultRecord:
             "slope_fit": tagged(scan.slope_fit, "hartree"),
             "unstable": scan.unstable,
         },
+        tables={"dilation": (("lambda", "energy_hartree"), list(zip(scan.lambdas, scan.energies)))},
     )
-    record.tables["dilation"] = (
-        ("lambda", "energy_hartree"),
-        list(zip(scan.lambdas, scan.energies)),
-    )
-    return record
 
 
-def _run_alpha_scan(cfg: RunConfig) -> ResultRecord:
+def _run_alpha_scan(cfg: RunConfig, checkpoint: str | None) -> dict:
     if not cfg.scan.alphas:
         raise ConfigError("alpha-scan requires a nonempty scan.alphas list")
-    spec = cfg.system_spec()
-    rows = scan_alpha(spec, list(cfg.scan.alphas), cfg.scf_config())
+    rows = scan_alpha(cfg.system_spec(), list(cfg.scan.alphas), cfg.scf_config())
     defects = concavity_defects(rows) if len(rows) >= 3 else np.zeros(0)
     monotone = all(b.energy.total <= a.energy.total + 1e-7 for a, b in zip(rows, rows[1:]))
-    all_conv = all(r.converged for r in rows)
-    record = ResultRecord(
-        subcommand="alpha-scan",
-        config=cfg,
-        seed=cfg.seed,
-        converged=all_conv,
-        flags=tuple(
-            f"alpha={r.alpha}:{r.flag}" for r in rows if r.flag
-        )
+    return dict(
+        converged=all(r.converged for r in rows),
+        flags=tuple(f"alpha={r.alpha}:{r.flag}" for r in rows if r.flag)
         + (() if monotone else ("energy_not_monotone",)),
         results={
             "monotone_nonincreasing": monotone,
             "concavity_defects": {"values": defects.tolist(), "unit": "hartree"},
             "max_concavity_defect": tagged(float(defects.max()) if defects.size else 0.0, "hartree"),
         },
+        tables={
+            "scan": (
+                ("alpha", "total_energy_hartree", "converged"),
+                [(r.alpha, r.energy.total, int(r.converged)) for r in rows],
+            )
+        },
     )
-    record.tables["scan"] = (
-        ("alpha", "total_energy_hartree", "converged"),
-        [(r.alpha, r.energy.total, int(r.converged)) for r in rows],
-    )
-    return record
 
 
-def _run_tf_bound(cfg: RunConfig) -> ResultRecord:
-    grid = RadialGrid(cfg.tf.r_min, cfg.tf.r_max, cfg.tf.points)
-    result = tf_minimize(grid, tol=cfg.tf.tol)
-    constants = {
-        "C_LT": cfg.constants.C_LT if cfg.constants.C_LT is not None else C_LT_CLASSICAL,
-    }
+def _run_tf_bound(cfg: RunConfig, checkpoint: str | None) -> dict:
+    result = tf_minimize(RadialGrid(cfg.tf.r_min, cfg.tf.r_max, cfg.tf.points), tol=cfg.tf.tol)
+    constants = {"C_LT": _inequality_constants(cfg)[0]}
     if cfg.constants.C_sobolev is not None:
         constants["C_sobolev"] = cfg.constants.C_sobolev
     rows = []
     for z in cfg.scan.zs:
         led = beta_lower_bound_chain(z, constants, i_tf=result.energy)
         rows.append((z, led.bound, led.chain_constant))
-    record = ResultRecord(
-        subcommand="tf-bound",
-        config=cfg,
-        seed=cfg.seed,
+    return dict(
         converged=result.converged,
         flags=() if result.converged else ("tf_not_converged",),
         results={
@@ -308,35 +247,22 @@ def _run_tf_bound(cfg: RunConfig) -> ResultRecord:
             "chain_constant": tagged(rows[0][2] if rows else 0.0, "hartree"),
         },
         residuals={"tf_kkt": {"value": result.kkt, "tolerance": cfg.tf.tol, "unit": "hartree"}},
+        tables={"bounds": (("z", "beta_lower_bound", "chain_constant"), rows)},
     )
-    record.tables["bounds"] = (("z", "beta_lower_bound", "chain_constant"), rows)
-    return record
 
 
-def _run_check_inequalities(cfg: RunConfig) -> ResultRecord:
-    spec = cfg.system_spec()
-    state = scf_solve(spec, cfg.scf_config())
-    violations = _violation_count(state)
+def _run_check_inequalities(cfg: RunConfig, checkpoint: str | None) -> dict:
+    state = scf_solve(cfg.system_spec(), cfg.scf_config())
+    iterates = _inequality_table(state)
+    violations = _violations(iterates)
     fam = loss_yau(cfg.zero_mode.spin_direction)
-    cell = Cell(cfg.zero_mode.box_L, int(cfg.zero_mode.box_ns[0]))
-    psi, pot = sample_on_cell(fam, cell)
-    from .density import DensityMatrix
-
+    psi, pot = sample_on_cell(fam, Cell(cfg.zero_mode.box_L, cfg.zero_mode.box_ns[0]))
     gamma = DensityMatrix((psi.normalized(),), np.array([min(1.0, cfg.system.N)]))
-    c_lt = cfg.constants.C_LT if cfg.constants.C_LT is not None else C_LT_CLASSICAL
-    c2 = cfg.constants.C2 if cfg.constants.C2 is not None else C2_DEFAULT
+    c_lt, c2 = _inequality_constants(cfg)
     zm_report = kinetic_inequality_report(gamma, pot, c_lt=c_lt, c2=c2)
-    zm_ok = bool(
-        zm_report["lieb_thirring_ok"]
-        and zm_report["hoffmann_ostenhof_ok"]
-        and zm_report["sobolev_ok"]
-    )
-    ok = violations == 0 and zm_ok and state.converged
-    record = ResultRecord(
-        subcommand="check-inequalities",
-        config=cfg,
-        seed=cfg.seed,
-        converged=ok,
+    zm_ok = _inequalities_ok(zm_report)
+    return dict(
+        converged=violations == 0 and zm_ok and state.converged,
         flags=tuple(
             f
             for f in (
@@ -357,67 +283,52 @@ def _run_check_inequalities(cfg: RunConfig) -> ResultRecord:
             },
         },
         residuals=_residuals_dict(state, cfg.scf.tol),
+        tables={"iterates": iterates},
     )
-    rows = [
-        (
-            r["iteration"],
-            r["kinetic_trace"],
-            r["lieb_thirring_lhs"],
-            r["hoffmann_ostenhof_lhs"],
-            r["sobolev_lhs"],
-            int(r["lieb_thirring_ok"] and r["hoffmann_ostenhof_ok"] and r["sobolev_ok"]),
-        )
-        for r in state.inequality_ledger
-    ]
-    record.tables["iterates"] = (
-        ("iteration", "kinetic_trace", "lieb_thirring_lhs", "hoffmann_ostenhof_lhs",
-         "sobolev_lhs", "ok"),
-        rows,
-    )
-    return record
+
+
+#: Subcommand name -> runner.  The runners look the solver functions up
+#: as module globals when they run, so patching those names takes effect.
+RUNNERS = {
+    "scf": partial(_run_scf, mode="molecular"),
+    "scf-periodic": partial(_run_scf, mode="periodic"),
+    "zero-mode": _run_zero_mode,
+    "beta-bound": partial(_run_threshold, table="beta"),
+    "alpha-c": partial(_run_threshold, table="alpha_c"),
+    "instability-scan": _run_instability_scan,
+    "alpha-scan": _run_alpha_scan,
+    "tf-bound": _run_tf_bound,
+    "check-inequalities": _run_check_inequalities,
+}
 
 
 def run(subcommand: str, cfg: RunConfig, checkpoint: str | None = None) -> ResultRecord:
     """Dispatch one subcommand; returns the filled record (not yet written)."""
-    t0 = time.perf_counter()
-    if subcommand == "scf":
-        record = _run_scf(cfg, "molecular", checkpoint)
-    elif subcommand == "scf-periodic":
-        record = _run_scf(cfg, "periodic", checkpoint)
-    elif subcommand == "zero-mode":
-        record = _run_zero_mode(cfg)
-    elif subcommand == "beta-bound":
-        record = _run_beta_bound(cfg)
-    elif subcommand == "alpha-c":
-        record = _run_alpha_c(cfg)
-    elif subcommand == "instability-scan":
-        record = _run_instability_scan(cfg)
-    elif subcommand == "alpha-scan":
-        record = _run_alpha_scan(cfg)
-    elif subcommand == "tf-bound":
-        record = _run_tf_bound(cfg)
-    elif subcommand == "check-inequalities":
-        record = _run_check_inequalities(cfg)
-    else:
+    if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    t0 = time.perf_counter()
+    record = ResultRecord(subcommand, cfg, seed=cfg.seed, **RUNNERS[subcommand](cfg, checkpoint))
     record.elapsed_s = time.perf_counter() - t0
     return record
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magrhf",
         description="Spectral workbench for the mean-field model with self-generated magnetic fields",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default: config output.out_dir)")
         p.add_argument("--checkpoint", default=None, help="binary checkpoint path (scf only)")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
             with open(args.config) as fh:
@@ -427,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         record = run(args.subcommand, cfg, checkpoint=args.checkpoint)
-    except (ConfigError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ __all__ = [
     "divergence",
     "curl",
     "helmholtz_project",
+    "transverse_spectral",
     "poisson_potential",
     "inner",
 ]
@@ -308,6 +309,12 @@ def curl(v: VectorField) -> VectorField:
     return VectorField(cell, cell.from_spectral(out).real)
 
 
+def transverse_spectral(cell: Cell, c: np.ndarray) -> np.ndarray:
+    """``c_k - k (k . c_k) / |k|^2`` for the (3, n, n, n) spectral coefficients ``c``."""
+    k = cell.k
+    return c - k * (np.sum(k * c, axis=0) * cell.inv_k2_deriv)[None]
+
+
 def helmholtz_project(v: VectorField, *, zero_mean: bool = False) -> VectorField:
     """Project onto the divergence-free (Coulomb gauge) subspace.
 
@@ -318,10 +325,7 @@ def helmholtz_project(v: VectorField, *, zero_mean: bool = False) -> VectorField
     the cell average of the vector potential vanishes).
     """
     cell = v.cell
-    c = v.spectral()
-    k = cell.k
-    kdotv = np.sum(k * c, axis=0)
-    c = c - k * (kdotv * cell.inv_k2_deriv)[None]
+    c = transverse_spectral(cell, v.spectral())
     if zero_mean:
         c[:, 0, 0, 0] = 0.0
     return VectorField(cell, cell.from_spectral(c).real)

@@ -16,13 +16,17 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .fields import Cell, VectorField
 from .hamiltonian import Nucleus, SystemSpec
 from .scf import SCFConfig, SCFState
+from .tfbound import RadialGrid
+from .zeromodes import unit_direction
 
 __all__ = [
     "ConfigError",
@@ -56,11 +60,17 @@ class CellConfig:
     L: float = 12.0
     n: int = 32
 
+    def __post_init__(self) -> None:
+        Cell(self.L, self.n)
+
 
 @dataclass(frozen=True)
 class NucleusConfig:
     z: float = 1.0
     R: tuple[float, float, float] = (6.0, 6.0, 6.0)
+
+    def __post_init__(self) -> None:
+        Nucleus(self.z, self.R)
 
 
 @dataclass(frozen=True)
@@ -71,9 +81,22 @@ class SystemConfig:
     N: float = 1.0
     alpha: float = 0.02
 
+    def __post_init__(self) -> None:
+        # the rest of SystemSpec's rules (nuclei inside the cell, a
+        # neutral periodic cell) depend on the subcommand's mode and are
+        # checked by RunConfig.system_spec
+        if self.mode not in ("molecular", "periodic"):
+            raise ValueError(f"mode must be 'molecular' or 'periodic', got {self.mode!r}")
+        if self.N <= 0:
+            raise ValueError(f"N must be positive, got {self.N}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class SCFSettings:
+    """The settable subset of :class:`SCFConfig`; ``tol`` defaults to 1e-7."""
+
     max_iter: int = 80
     tol: float = 1e-7
     mix_rho: float = 0.6
@@ -88,13 +111,19 @@ class SCFSettings:
     energy_floor: float = -1.0e4
     a_inner_iters: int = 2
 
+    def __post_init__(self) -> None:
+        SCFConfig(**asdict(self))
+
 
 @dataclass(frozen=True)
 class ScanConfig:
     alphas: tuple[float, ...] = ()
     lambdas: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
     zs: tuple[float, ...] = (1.0, 2.0, 8.0)
-    epsilon_points: int = 100001
+
+    def __post_init__(self) -> None:
+        if any(z <= 0 for z in self.zs):
+            raise ValueError("charges zs must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,6 +140,11 @@ class ZeroModeSettings:
     box_L: float = 40.0
     box_ns: tuple[int, ...] = (48, 64, 96)
 
+    def __post_init__(self) -> None:
+        unit_direction(self.spin_direction)
+        for n in self.box_ns:
+            Cell(self.box_L, n)
+
 
 @dataclass(frozen=True)
 class TFSettings:
@@ -118,6 +152,9 @@ class TFSettings:
     r_max: float = 1e3
     points: int = 4096
     tol: float = 1e-7
+
+    def __post_init__(self) -> None:
+        RadialGrid(self.r_min, self.r_max, self.points)
 
 
 @dataclass(frozen=True)
@@ -136,149 +173,62 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
     seed: int = 0
 
-    # ---- domain-object builders ------------------------------------
-    def cell(self) -> Cell:
-        return Cell(self.system.cell.L, self.system.cell.n)
-
     def system_spec(self, mode: str | None = None) -> SystemSpec:
         sysc = self.system
-        return SystemSpec(
-            cell=self.cell(),
-            nuclei=tuple(Nucleus(nc.z, nc.R) for nc in sysc.nuclei),
-            N=sysc.N,
-            alpha=sysc.alpha,
-            mode=mode or sysc.mode,
-        )
+        try:
+            return SystemSpec(
+                cell=Cell(sysc.cell.L, sysc.cell.n),
+                nuclei=tuple(Nucleus(nc.z, nc.R) for nc in sysc.nuclei),
+                N=sysc.N,
+                alpha=sysc.alpha,
+                mode=mode or sysc.mode,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"system: {exc}") from exc
 
     def scf_config(self) -> SCFConfig:
-        s = self.scf
-        return SCFConfig(
-            max_iter=s.max_iter,
-            tol=s.tol,
-            mix_rho=s.mix_rho,
-            mix_A=s.mix_A,
-            eig_block=s.eig_block,
-            eig_tol=s.eig_tol,
-            eig_maxiter=s.eig_maxiter,
-            deg_threshold=s.deg_threshold,
-            seed=self.seed,
-            anderson_depth=s.anderson_depth,
-            pin_A=s.pin_A,
-            s_nuc=s.s_nuc,
-            energy_floor=s.energy_floor,
-            a_inner_iters=s.a_inner_iters,
-        )
+        return SCFConfig(seed=self.seed, **asdict(self.scf))
 
 
-_TUPLE_FIELDS = {"R", "spin_direction"}
+def _build(tp, val, path: str):
+    """Build a value of the annotated type ``tp`` from its JSON form.
 
-
-def _build(cls, data, path):
-    """Recursively build a config dataclass from a JSON-shaped dict."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
-    spec = {f.name: f for f in dc_fields(cls)}
-    unknown = set(data) - set(spec)
-    if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{path + '.' if path else ''}{name}'")
-    kwargs = {}
-    for name, f in spec.items():
-        if name not in data:
-            continue
-        val = data[name]
-        sub = f"{path}.{name}" if path else name
-        kwargs[name] = _convert(f.type, val, sub)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
-
-
-def _convert(ftype, val, path):
-    ftype_s = str(ftype)
-    if ftype_s.startswith("CellConfig"):
-        return _build(CellConfig, val, path)
-    if ftype_s.startswith("SystemConfig"):
-        return _build(SystemConfig, val, path)
-    if ftype_s.startswith("SCFSettings"):
-        return _build(SCFSettings, val, path)
-    if ftype_s.startswith("ScanConfig"):
-        return _build(ScanConfig, val, path)
-    if ftype_s.startswith("ConstantsConfig"):
-        return _build(ConstantsConfig, val, path)
-    if ftype_s.startswith("ZeroModeSettings"):
-        return _build(ZeroModeSettings, val, path)
-    if ftype_s.startswith("TFSettings"):
-        return _build(TFSettings, val, path)
-    if ftype_s.startswith("OutputConfig"):
-        return _build(OutputConfig, val, path)
-    if "NucleusConfig" in ftype_s:
+    Dataclasses come from mappings with no unknown keys, tuples from
+    lists (of exactly the annotated length unless ``tuple[X, ...]``),
+    ``X | None`` also from null; a dataclass's own ``ValueError``
+    becomes a :class:`ConfigError` naming its path.
+    """
+    where = path or "config"
+    if is_dataclass(tp):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {type(val).__name__}")
+        hints = get_type_hints(tp)
+        unknown = sorted(set(val) - hints.keys())
+        if unknown:
+            raise ConfigError(f"unknown key '{path + '.' if path else ''}{unknown[0]}'")
+        kwargs = {k: _build(hints[k], v, f"{path}.{k}" if path else k) for k, v in val.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    args = get_args(tp)
+    if get_origin(tp) is UnionType:  # X | None
+        return None if val is None else _build(args[0], val, path)
+    if get_origin(tp) is tuple:
         if not isinstance(val, list):
-            raise ConfigError(f"{path}: expected a list of nuclei")
-        return tuple(_build(NucleusConfig, v, f"{path}[{i}]") for i, v in enumerate(val))
-    if ftype_s.startswith("tuple"):
-        if not isinstance(val, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list")
-        if "float" in ftype_s:
-            return tuple(_as_float(v, path) for v in val)
-        if "int" in ftype_s:
-            return tuple(_as_int(v, path) for v in val)
-        return tuple(val)
-    if ftype_s.startswith("float | None") or ftype_s.startswith("int | None"):
-        if val is None:
-            return None
-        return _as_float(val, path) if "float" in ftype_s else _as_int(val, path)
-    if ftype_s == "float":
-        return _as_float(val, path)
-    if ftype_s == "int":
-        return _as_int(val, path)
-    if ftype_s == "bool":
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {val!r}")
-        return val
-    if ftype_s == "str":
-        if not isinstance(val, str):
-            raise ConfigError(f"{path}: expected a string, got {val!r}")
-        return val
-    raise ConfigError(f"{path}: unsupported field type {ftype_s}")
+            raise ConfigError(f"{path}: expected a list, got {val!r}")
+        types = args[:1] * len(val) if args[-1] is Ellipsis else args
+        if len(val) != len(types):
+            raise ConfigError(f"{path}: expected {len(types)} entries, got {len(val)}")
+        return tuple(_build(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, val)))
+    # JSON true/false are not numbers, and a float field also takes an integer
+    accepted = (int, float) if tp is float else tp
+    if isinstance(val, accepted) and (tp is bool or not isinstance(val, bool)):
+        return tp(val)
+    raise ConfigError(f"{path}: expected {_TYPE_NAMES[tp]}, got {val!r}")
 
 
-def _as_float(val, path):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
-    return float(val)
-
-
-def _as_int(val, path):
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    return int(val)
-
-
-def _validate_physics(cfg: RunConfig) -> None:
-    sysc = cfg.system
-    if sysc.mode not in ("molecular", "periodic"):
-        raise ConfigError(f"system.mode: must be 'molecular' or 'periodic', got {sysc.mode!r}")
-    if sysc.alpha <= 0:
-        raise ConfigError(f"system.alpha: must be positive, got {sysc.alpha}")
-    if sysc.N <= 0:
-        raise ConfigError(f"system.N: must be positive, got {sysc.N}")
-    if sysc.cell.L <= 0 or sysc.cell.n < 4 or sysc.cell.n % 2:
-        raise ConfigError("system.cell: needs L > 0 and even n >= 4")
-    for i, nuc in enumerate(sysc.nuclei):
-        if nuc.z < 0:
-            raise ConfigError(f"system.nuclei[{i}].z: must be nonnegative, got {nuc.z}")
-        if len(nuc.R) != 3:
-            raise ConfigError(f"system.nuclei[{i}].R: needs three coordinates")
-    if not (0 < cfg.scf.mix_rho <= 1 and 0 < cfg.scf.mix_A <= 1):
-        raise ConfigError("scf: mixing parameters must lie in (0, 1]")
-    if cfg.scf.tol <= 0:
-        raise ConfigError("scf.tol: must be positive")
-    if any(z <= 0 for z in cfg.scan.zs):
-        raise ConfigError("scan.zs: charges must be positive")
-    if cfg.tf.r_min <= 0 or cfg.tf.r_max <= cfg.tf.r_min:
-        raise ConfigError("tf: needs 0 < r_min < r_max")
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -287,9 +237,7 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = _build(RunConfig, data, "")
-    _validate_physics(cfg)
-    return cfg
+    return _build(RunConfig, data, "")
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -366,12 +314,12 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: str | bytes) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -385,6 +333,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 _MAGIC = b"MRHF1"
 _VERSION = 1
+_HEADER = struct.Struct("<IdIIBddI")
 _MODES = {"molecular": 0, "periodic": 1}
 _MODES_BACK = {v: k for k, v in _MODES.items()}
 
@@ -409,6 +358,10 @@ class CheckpointData:
                 f"checkpoint cell (L={self.L}, n={self.n}) does not match the "
                 f"configured cell (L={spec.cell.L}, n={spec.cell.n})"
             )
+        if spec.mode != self.mode:
+            raise CheckpointError(
+                f"checkpoint mode {self.mode!r} does not match the configured mode {spec.mode!r}"
+            )
         return self.orbitals, self.occupations, VectorField(spec.cell, self.A_values)
 
 
@@ -422,9 +375,8 @@ def checkpoint_save(state: SCFState, path: str) -> None:
     """
     cell = state.gamma.cell
     n_orb = len(state.gamma.orbitals)
-    mode = _MODES.get(state.gamma.mode, 0)
-    header = _MAGIC + struct.pack(
-        "<IdIIBddI", _VERSION, cell.L, cell.n, n_orb, mode, state.alpha,
+    header = _MAGIC + _HEADER.pack(
+        _VERSION, cell.L, cell.n, n_orb, _MODES[state.gamma.mode], state.alpha,
         state.fermi_energy, state.iteration,
     )
     occ = np.ascontiguousarray(state.gamma.occupations, dtype="<f8")
@@ -433,17 +385,7 @@ def checkpoint_save(state: SCFState, path: str) -> None:
     orb_view[..., 0] = orbs.real
     orb_view[..., 1] = orbs.imag
     a_vals = np.ascontiguousarray(state.A.A.values, dtype="<f8")
-    payload = header + occ.tobytes() + orb_view.tobytes() + a_vals.tobytes()
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".ckpt")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, header + occ.tobytes() + orb_view.tobytes() + a_vals.tobytes())
 
 
 def checkpoint_load(path: str) -> CheckpointData:
@@ -451,16 +393,14 @@ def checkpoint_load(path: str) -> CheckpointData:
         blob = fh.read()
     if blob[:5] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes {blob[:5]!r}")
-    header_fmt = "<IdIIBddI"
-    header_size = struct.calcsize(header_fmt)
-    if len(blob) < 5 + header_size:
+    off = len(_MAGIC) + _HEADER.size
+    if len(blob) < off:
         raise CheckpointError(f"{path}: truncated header")
-    version, L, n, n_orb, mode, alpha, fermi, iteration = struct.unpack(
-        header_fmt, blob[5 : 5 + header_size]
-    )
+    version, L, n, n_orb, mode, alpha, fermi, iteration = _HEADER.unpack_from(blob, len(_MAGIC))
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 5 + header_size
+    if mode not in _MODES_BACK:
+        raise CheckpointError(f"{path}: unknown mode byte {mode}")
     n3 = n**3
     expect = n_orb * 8 + n_orb * 2 * n3 * 16 + 3 * n3 * 8
     if len(blob) != off + expect:
@@ -477,7 +417,7 @@ def checkpoint_load(path: str) -> CheckpointData:
     return CheckpointData(
         L=L,
         n=n,
-        mode=_MODES_BACK.get(mode, "molecular"),
+        mode=_MODES_BACK[mode],
         alpha=alpha,
         fermi_energy=fermi,
         iteration=iteration,

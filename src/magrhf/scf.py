@@ -44,6 +44,7 @@ from .fields import (
     VectorField,
     curl,
     divergence,
+    transverse_spectral,
 )
 from .hamiltonian import (
     MagneticPotential,
@@ -102,6 +103,8 @@ class SCFConfig:
             raise ValueError("mixing parameters must lie in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 class EigensolveError(RuntimeError):
@@ -351,6 +354,13 @@ def fermi_fill(
     return occ, fermi
 
 
+def _field_source(j: VectorField, m: VectorField, rho: ScalarField, A: MagneticPotential) -> np.ndarray:
+    """Transverse spectral source ``P_perp[(1/2)(j + curl m) + A rho]`` of the field equation."""
+    cell = j.cell
+    source = 0.5 * (j.values + curl(m).values) + A.A.values * rho.values[None]
+    return transverse_spectral(cell, cell.to_spectral(source))
+
+
 def update_vector_potential(
     j: VectorField,
     m: VectorField,
@@ -370,11 +380,7 @@ def update_vector_potential(
     cell = j.cell
     if m.cell != cell or rho.cell != cell or A_in.cell != cell or spec.cell != cell:
         raise ValueError("all fields must live on one cell")
-    source = 0.5 * (j.values + curl(m).values) + A_in.A.values * rho.values[None]
-    shat = cell.to_spectral(source)
-    k = cell.k
-    kdots = np.sum(k * shat, axis=0)
-    shat = shat - k * (kdots * cell.inv_k2_deriv)[None]
+    shat = _field_source(j, m, rho, A_in)
     ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2[None]
     ahat[:, 0, 0, 0] = 0.0
     return MagneticPotential(VectorField(cell, cell.from_spectral(ahat).real), check_gauge=False)
@@ -390,11 +396,7 @@ def _field_equation_residual(
     equation rather than a noise-over-noise ratio.
     """
     cell = j.cell
-    source = 0.5 * (j.values + curl(m).values) + A.A.values * rho.values[None]
-    shat = cell.to_spectral(source)
-    k = cell.k
-    kdots = np.sum(k * shat, axis=0)
-    shat = shat - k * (kdots * cell.inv_k2_deriv)[None]
+    shat = _field_source(j, m, rho, A)
     shat[:, 0, 0, 0] = 0.0
     lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
     lhs_norm = VectorField.from_spectral(cell, shat + lap).norm()
@@ -610,8 +612,6 @@ def scf_solve(
     prev_inputs: tuple[ScalarField, MagneticPotential] | None = None
     mix_rho, mix_A = config.mix_rho, config.mix_A
 
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     for it in range(1, config.max_iter + 1):
         try:
             cand = evaluate(rho_in, A_in, X_warm)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import Cell, ScalarField
 from .hamiltonian import SystemSpec, external_potential, hartree
 from .scf import eigensolve
 
@@ -57,6 +57,17 @@ def _fill_capacity2(levels: np.ndarray, N: float, deg: float = 1e-6) -> np.ndarr
     return occ
 
 
+def _scalar_hamiltonian(cell: Cell, v_eff: np.ndarray):
+    """Apply of ``-lap/2 + v_eff`` to a (m, 1, n, n, n) block of scalar orbitals."""
+    k2 = cell.k2_full
+
+    def apply_h(X: np.ndarray) -> np.ndarray:
+        c = cell.to_spectral(X)
+        return cell.from_spectral(0.5 * k2[None, None] * c) + v_eff[None, None] * X
+
+    return apply_h
+
+
 def scf_solve_spinless(
     spec: SystemSpec,
     *,
@@ -81,7 +92,6 @@ def scf_solve_spinless(
         s_nuc = 2.0 * cell.spacing
     V = external_potential(spec, s_nuc=s_nuc)
     n_spatial = int(math.ceil(spec.N / 2.0 - 1e-12)) + 2
-    k2 = cell.k2_full
 
     # initial density: one broad Gaussian per nucleus
     vals = np.zeros((cell.n,) * 3)
@@ -100,12 +110,8 @@ def scf_solve_spinless(
         v_h, _ = hartree(rho)
         v_eff = V.values + v_h.values
 
-        def apply_h(X: np.ndarray) -> np.ndarray:
-            c = cell.to_spectral(X)
-            return cell.from_spectral(0.5 * k2[None, None] * c) + v_eff[None, None] * X
-
         levels, orbitals, _, _ = eigensolve(
-            apply_h, cell, n_spatial, block=n_spatial + 2, tol=eig_tol,
+            _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=eig_tol,
             max_iter=eig_maxiter, X0=X_warm, seed=seed, components=1,
         )
         occ = _fill_capacity2(levels, spec.N)
@@ -116,12 +122,7 @@ def scf_solve_spinless(
 
         v_h_out, _ = hartree(rho_out_field)
         v_eff_out = V.values + v_h_out.values
-
-        def apply_out(X: np.ndarray) -> np.ndarray:
-            c = cell.to_spectral(X)
-            return cell.from_spectral(0.5 * k2[None, None] * c) + v_eff_out[None, None] * X
-
-        HX = apply_out(orbitals)
+        HX = _scalar_hamiltonian(cell, v_eff_out)(orbitals)
         nmo = len(occ)
         lam = np.real(
             np.sum(np.conjugate(orbitals.reshape(nmo, -1)) * HX.reshape(nmo, -1), axis=1) * cell.dV
@@ -141,7 +142,7 @@ def scf_solve_spinless(
     kinetic = 0.0
     for f, orb in zip(occ, orbitals):
         c = cell.to_spectral(orb[0])
-        kinetic += f * float(np.real(np.sum(0.5 * k2 * np.abs(c) ** 2) * cell.volume))
+        kinetic += f * float(np.real(np.sum(0.5 * cell.k2_full * np.abs(c) ** 2) * cell.volume))
     rho_final = rho if converged else rho_out_field
     external = float(np.sum(V.values * rho_final.values) * cell.dV)
     _, hartree_energy = hartree(rho_final)

@@ -38,6 +38,7 @@ from .hamiltonian import MagneticPotential, apply_sigma_kinetic_root
 __all__ = [
     "ZeroModeFamily",
     "loss_yau",
+    "unit_direction",
     "dilate",
     "f_z",
     "beta_rank1_upper_bound",
@@ -236,13 +237,19 @@ class ZeroModeFamily:
         return self.lam**2 * b_values(self.lam * np.asarray(points, dtype=float), np.asarray(self.w))
 
 
-def loss_yau(w: np.ndarray | tuple[float, float, float]) -> ZeroModeFamily:
-    """Construct the zero-mode family polarised along the unit vector ``w``."""
+def unit_direction(w: np.ndarray | tuple[float, float, float]) -> tuple[float, float, float]:
+    """``w`` as a tuple; raises ``ValueError`` unless it is a unit 3-vector."""
     wv = np.asarray(w, dtype=float)
     if wv.shape != (3,) or abs(float(np.linalg.norm(wv)) - 1.0) > 1e-12:
         raise ValueError(f"spin direction must be a unit 3-vector, got {w}")
+    return tuple(float(c) for c in wv)
+
+
+def loss_yau(w: np.ndarray | tuple[float, float, float]) -> ZeroModeFamily:
+    """Construct the zero-mode family polarised along the unit vector ``w``."""
+    w = unit_direction(w)
     i1, d1, b2 = _base_integrals()
-    return ZeroModeFamily(w=tuple(float(c) for c in wv), i1=i1, d1=d1, b2=b2)
+    return ZeroModeFamily(w=w, i1=i1, d1=d1, b2=b2)
 
 
 def dilate(fam: ZeroModeFamily, lam: float) -> ZeroModeFamily:

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from magrhf.runio import checkpoint_load
+import magrhf.cli as cli
+from magrhf.runio import checkpoint_load, parse_config
 
 BASE = {
     "system": {
@@ -168,3 +169,59 @@ def test_alpha_scan_requires_alphas(tmp_path):
     proc, record, _ = _run("alpha-scan", cfg, tmp_path)
     assert proc.returncode == 1
     assert "alphas" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sub, overrides, message",
+    [
+        ("beta-bound", {"zero_mode": {"spin_direction": [1, 1, 0]}}, "unit 3-vector"),
+        ("beta-bound", {"zero_mode": {"spin_direction": [0, 1]}}, "zero_mode.spin_direction"),
+        ("zero-mode", {"zero_mode": {"box_ns": [12, 15]}}, "n=15"),
+        ("scf", {"system": {"nuclei": [{"z": 1.0, "R": [20.0, 6.0, 6.0]}]}}, "outside the cell"),
+    ],
+)
+def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, message):
+    proc, record, _ = _run(sub, overrides, tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert record is None
+
+
+def test_dispatch_table_matches_parser():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert list(sub.choices) == list(cli.RUNNERS)
+
+
+def test_beta_bound_rows_are_alpha_c_columns():
+    cfg = parse_config(json.dumps(BASE))
+    beta = cli.run("beta-bound", cfg)
+    alpha_c = cli.run("alpha-c", cfg)
+    assert beta.tables["beta"][0] == alpha_c.tables["alpha_c"][0][:3]
+    assert beta.tables["beta"][1] == [row[:3] for row in alpha_c.tables["alpha_c"][1]]
+    for b, a in zip(beta.results["rows"], alpha_c.results["rows"]):
+        assert b == {k: v for k, v in a.items() if k != "alpha_c_upper_bound"}
+
+
+def test_runners_look_up_patched_names(monkeypatch, tmp_path):
+    # the benchmark's tracer replaces these module attributes at run time
+    calls = []
+
+    def traced(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("run", "grid_residual", "tf_minimize"):
+        traced(name)
+    cfg = dict(BASE, output={"out_dir": str(tmp_path)})
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["zero-mode", "--config", cfg_path]) == 0
+    assert cli.main(["tf-bound", "--config", cfg_path]) == 0
+    assert calls == ["run", "grid_residual", "grid_residual", "run", "tf_minimize"]

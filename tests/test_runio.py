@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ def test_unknown_key_is_named():
         parse_config('{"system": {"cell": {"m": 3}}}')
     with pytest.raises(ConfigError, match=r"system.nuclei\[0\].charge"):
         parse_config('{"system": {"nuclei": [{"charge": 1.0}]}}')
+    with pytest.raises(ConfigError, match="unknown key 'scan.epsilon_points'"):
+        parse_config('{"scan": {"epsilon_points": 100001}}')
 
 
 def test_type_and_physics_validation():
@@ -51,6 +54,16 @@ def test_type_and_physics_validation():
         parse_config('{"system": {"cell": {"n": 7}}}')
     with pytest.raises(ConfigError):
         parse_config("not json at all {")
+    with pytest.raises(ConfigError, match="system.alpha: expected a number"):
+        parse_config('{"system": {"alpha": true}}')
+    with pytest.raises(ConfigError, match="scf.eig_block: expected an integer"):
+        parse_config('{"scf": {"eig_block": 1.5}}')
+    with pytest.raises(ConfigError, match=r"system.nuclei\[0\].R: expected 3 entries"):
+        parse_config('{"system": {"nuclei": [{"R": [1.0, 2.0]}]}}')
+    with pytest.raises(ConfigError, match="system: "):
+        parse_config('{"system": {"nuclei": [{"R": [20.0, 6.0, 6.0]}]}}').system_spec()
+    cfg = parse_config('{"scf": {"eig_block": null, "eig_tol": null}, "constants": {"C2": null}}')
+    assert cfg == parse_config("{}")
 
 
 def _random_config(rng) -> RunConfig:
@@ -162,6 +175,12 @@ def test_checkpoint_header_and_errors(tmp_path, small_state):
     open(trunc, "wb").write(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
         checkpoint_load(trunc)
+    # unknown mode byte (after the magic, version, L, n and n_orbitals)
+    at = 5 + struct.calcsize("<IdII")
+    odd = os.path.join(tmp_path, "mode.ckpt")
+    open(odd, "wb").write(blob[:at] + bytes([7]) + blob[at + 1 :])
+    with pytest.raises(CheckpointError, match="mode"):
+        checkpoint_load(odd)
 
 
 def test_checkpoint_cell_mismatch(tmp_path, small_state):
@@ -172,6 +191,9 @@ def test_checkpoint_cell_mismatch(tmp_path, small_state):
     other = SystemSpec(Cell(9.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.05)
     with pytest.raises(CheckpointError, match="cell"):
         data.initial_for(other)
+    periodic = SystemSpec(spec.cell, spec.nuclei, N=1.0, alpha=0.05, mode="periodic")
+    with pytest.raises(CheckpointError, match="mode"):
+        data.initial_for(periodic)
 
 
 def test_warm_start_from_converged_checkpoint(tmp_path, small_state):
