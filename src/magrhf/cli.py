@@ -300,12 +300,16 @@ RUNNERS = {
     "tf-bound": _run_tf_bound,
     "check-inequalities": _run_check_inequalities,
 }
+#: the subcommands that read and write --checkpoint
+_CHECKPOINTED = ("scf", "scf-periodic")
 
 
 def run(subcommand: str, cfg: RunConfig, checkpoint: str | None = None) -> ResultRecord:
     """Dispatch one subcommand; returns the filled record (not yet written)."""
     if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if checkpoint and subcommand not in _CHECKPOINTED:
+        raise ConfigError(f"--checkpoint is read only by {' and '.join(_CHECKPOINTED)}, not {subcommand}")
     t0 = time.perf_counter()
     record = ResultRecord(subcommand, cfg, seed=cfg.seed, **RUNNERS[subcommand](cfg, checkpoint))
     record.elapsed_s = time.perf_counter() - t0
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default: config output.out_dir)")
-        p.add_argument("--checkpoint", default=None, help="binary checkpoint path (scf only)")
+        p.add_argument("--checkpoint", default=None, help="binary checkpoint path (scf and scf-periodic only)")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     return parser
 

@@ -21,7 +21,8 @@ default; pass ``s_nuc=0.0`` for the bare kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,35 +124,37 @@ class SystemSpec:
         return float(max(nuc.z for nuc in self.nuclei))
 
 
+#: relative bound on |div A| accepted by the Coulomb-gauge check
+GAUGE_TOL = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class MagneticPotential:
-    """Divergence-free vector potential with its field ``B = curl A``.
+    """Divergence-free vector potential; its field ``B = curl A`` is computed on first read.
 
     ``field_energy_raw`` is ``int |B|^2`` over the cell;  the physical
     magnetic energy carries the extra ``1 / (8 pi alpha^2)``.
     """
 
     A: VectorField
-    B: VectorField = field(default=None)  # type: ignore[assignment]
     check_gauge: bool = True
-    gauge_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.B is None:
-            object.__setattr__(self, "B", curl(self.A))
-        elif self.B.cell != self.A.cell:
-            raise CellMismatchError("A and B live on different cells")
         if self.check_gauge:
             div_norm = divergence(self.A).norm()
             scale = max(self.A.norm(), 1.0)
-            if div_norm > self.gauge_tol * scale:
+            if div_norm > GAUGE_TOL * scale:
                 raise ValueError(
                     f"vector potential violates the Coulomb gauge: |div A| = {div_norm:.3e}"
                 )
 
     @classmethod
     def zero(cls, cell: Cell) -> "MagneticPotential":
-        return cls(VectorField.zeros(cell), VectorField.zeros(cell))
+        return cls(VectorField.zeros(cell), check_gauge=False)
+
+    @cached_property
+    def B(self) -> VectorField:
+        return curl(self.A)
 
     @property
     def cell(self) -> Cell:

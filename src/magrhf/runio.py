@@ -124,6 +124,13 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if any(z <= 0 for z in self.zs):
             raise ValueError("charges zs must be positive")
+        # the rules of instability_scan and scan_alpha, checked before any solve
+        for name in ("lambdas", "alphas"):
+            values = getattr(self, name)
+            if any(v <= 0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
+                raise ValueError(f"{name} must be positive and strictly ascending")
+        if not self.lambdas:
+            raise ValueError("lambdas must not be empty")
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,12 @@ class ConstantsConfig:
     C_LT: float | None = None
     C2: float | None = None
     C_sobolev: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("C_LT", "C2", "C_sobolev"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,10 @@ class ZeroModeSettings:
 
     def __post_init__(self) -> None:
         unit_direction(self.spin_direction)
+        if self.dilation <= 0:
+            raise ValueError(f"dilation must be positive, got {self.dilation}")
+        if not self.box_ns:
+            raise ValueError("box_ns must not be empty")
         for n in self.box_ns:
             Cell(self.box_L, n)
 

@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 
+#: retries with halved mixing before an energy-raising step is accepted
+MAX_HALVINGS = 8
+
+
 @dataclass(frozen=True)
 class SCFConfig:
     """Knobs of the fixed-point iteration.
@@ -94,9 +98,7 @@ class SCFConfig:
     s_nuc: float | None = None
     energy_floor: float = -1.0e4
     a_inner_iters: int = 2
-    max_halvings: int = 8
     energy_slack_rel: float = 1e-10
-    check_inequalities: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.mix_rho <= 1.0 and 0.0 < self.mix_A <= 1.0):
@@ -150,13 +152,12 @@ def _normalize_rows(cell: Cell, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _orthonormalize(cell: Cell, X: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormalize a block against itself, dropping null directions."""
-    g = _gram(cell, X, X)
+def _whiten(g: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``T`` with ``T^H g T = 1`` on the eigen-directions of the symmetrised Gram matrix
+    ``g`` above ``rel_tol`` times its largest eigenvalue; ``T`` may have no columns."""
     vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
-    keep = vals > drop_tol * max(float(vals.max()), 1e-300)
-    t = vecs[:, keep] / np.sqrt(vals[keep])
-    return t.T @ X
+    keep = vals > rel_tol * max(float(vals.max()), 1e-300)
+    return vecs[:, keep] / np.sqrt(vals[keep])
 
 
 def eigensolve(
@@ -170,12 +171,13 @@ def eigensolve(
     X0: np.ndarray | None = None,
     seed: int = 0,
     components: int = 2,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Lowest eigenpairs of a Hermitian operator by preconditioned LOBPCG.
 
-    Returns ``(levels, orbitals, residuals, iterations)`` with levels
-    ascending, orthonormal orbitals of shape (block, components, n, n, n)
-    and relative residuals ``||H x - t x|| / max(1, |t|)``.  The first
+    Returns ``(levels, orbitals, residuals, iterations, h_orbitals)`` with
+    levels ascending, orthonormal orbitals of shape (block, components, n, n, n),
+    relative residuals ``||H x - t x|| / max(1, |t|)`` and the block H X the
+    iteration keeps current, so callers need not apply H again.  The first
     ``count`` pairs are converged below ``tol``; otherwise an
     :class:`EigensolveError` carrying the best residuals is raised.
 
@@ -201,7 +203,7 @@ def eigensolve(
     def apply(Y: np.ndarray) -> np.ndarray:
         return apply_h(Y.reshape((-1,) + field_shape)).reshape(Y.shape)
 
-    X = _orthonormalize(cell, X)
+    X = _whiten(_gram(cell, X, X), 1e-12).T @ X
     HX = apply(X)
     P = HP = None
     k2 = cell.k2_full
@@ -217,7 +219,7 @@ def eigensolve(
         R += HX
         rel = _row_norms(cell, R) / np.maximum(1.0, np.abs(theta))
         if np.all(rel[:count] <= tol):
-            return theta, X.reshape((b,) + field_shape), rel, it
+            return theta, X.reshape((b,) + field_shape), rel, it, HX.reshape((b,) + field_shape)
 
         # preconditioned residuals of the unconverged pairs only
         # (soft locking: converged vectors stay in the basis but stop
@@ -236,16 +238,11 @@ def eigensolve(
             if P is not None:
                 _subtract_lincomb(W, _gram(cell, P, W), P)
             W = _normalize_rows(cell, W)
-        gw = _gram(cell, W, W)
-        vals, vecs = np.linalg.eigh(0.5 * (gw + gw.conj().T))
-        keep = vals > 1e-10 * max(float(vals.max()), 1e-300)
-        if not np.any(keep):
+        Tw = _whiten(_gram(cell, W, W), 1e-10)
+        if not Tw.shape[1]:
             W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             _subtract_lincomb(W, _gram(cell, X, W), X)
-            gw = _gram(cell, W, W)
-            vals, vecs = np.linalg.eigh(0.5 * (gw + gw.conj().T))
-            keep = vals > 1e-10 * max(float(vals.max()), 1e-300)
-        Tw = vecs[:, keep] / np.sqrt(vals[keep])
+            Tw = _whiten(_gram(cell, W, W), 1e-10)
         W = Tw.T @ W
         HW = apply(W)
 
@@ -254,12 +251,9 @@ def eigensolve(
         S = np.concatenate(blocks, axis=0)
         HS = np.concatenate(h_blocks, axis=0)
         h_sub = _gram(cell, S, HS)
-        g_sub = _gram(cell, S, S)
         # S is orthonormal to roundoff; solve the small generalized
         # problem anyway to absorb the leftover non-orthogonality.
-        vals, vecs = np.linalg.eigh(0.5 * (g_sub + g_sub.conj().T))
-        keep = vals > 1e-10 * max(float(vals.max()), 1e-300)
-        T = vecs[:, keep] / np.sqrt(vals[keep])
+        T = _whiten(_gram(cell, S, S), 1e-10)
         h_o = T.conj().T @ (0.5 * (h_sub + h_sub.conj().T)) @ T
         evals, evecs = np.linalg.eigh(0.5 * (h_o + h_o.conj().T))
         C = T @ evecs[:, :b]
@@ -283,14 +277,8 @@ def eigensolve(
             scale = (1.0 / nrm)[:, None]
             P *= scale
             HP *= scale
-        gp = _gram(cell, P, P) if P.shape[0] else np.zeros((0, 0))
-        if gp.size:
-            vals, vecs = np.linalg.eigh(0.5 * (gp + gp.conj().T))
-            keep = vals > 1e-8 * max(float(vals.max()), 1e-300)
-        else:
-            keep = np.zeros(0, dtype=bool)
-        if np.any(keep):
-            Tp = vecs[:, keep] / np.sqrt(vals[keep])
+        Tp = _whiten(_gram(cell, P, P), 1e-8) if P.shape[0] else np.zeros((0, 0))
+        if Tp.shape[1]:
             P = Tp.T @ P
             HP = Tp.T @ HP
         else:
@@ -429,6 +417,16 @@ def _continuity_residual(rho: ScalarField, j: VectorField, A: MagneticPotential)
     return divergence(phys).norm() / norm
 
 
+def _orbital_residual(cell: Cell, X: np.ndarray, HX: np.ndarray, occ: np.ndarray) -> float:
+    """Largest ``||H x - t x|| / max(1, |t|)``, ``t = <x, H x>``, over the occupied orbitals."""
+    nmo = len(occ)
+    lam = np.real(np.sum(np.conjugate(X.reshape(nmo, -1)) * HX.reshape(nmo, -1), axis=1) * cell.dV)
+    R = HX - lam[:, None, None, None, None] * X
+    res_per = np.sqrt(np.sum(np.abs(R.reshape(nmo, -1)) ** 2, axis=1) * cell.dV)
+    occupied = occ > 1e-12
+    return float(np.max(res_per[occupied] / np.maximum(1.0, np.abs(lam[occupied]))))
+
+
 @dataclass
 class SCFState:
     """Converged (or best-effort) self-consistent state."""
@@ -519,6 +517,7 @@ class _Iterate:
     m: VectorField
     A_out: MagneticPotential
     energy: EnergyBreakdown
+    residual_orbital: float
 
 
 def scf_solve(
@@ -570,8 +569,8 @@ def scf_solve(
     def evaluate(rho: ScalarField, A: MagneticPotential, X0) -> _Iterate:
         v_h, _ = hartree(rho)
         v_eff = ScalarField(cell, V.values + v_h.values)
-        apply_h = make_hamiltonian(cell, v_eff, None if A.is_zero() else A)
-        levels, orbitals, _, _ = eigensolve(
+        apply_h = make_hamiltonian(cell, v_eff, A)
+        levels, orbitals, _, _, h_orbitals = eigensolve(
             apply_h, cell, count, block=block, tol=eig_tol_eff,
             max_iter=config.eig_maxiter, X0=X0, seed=config.seed,
         )
@@ -580,6 +579,10 @@ def scf_solve(
             tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
         )
         rho_out = density(gamma)
+        # the orbital residual at the output mean field, whose H differs from
+        # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
+        h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals
+        res_orb = _orbital_residual(cell, orbitals, h_orbitals, occ)
         j = current(gamma)
         m = magnetisation(gamma)
         if config.pin_A:
@@ -589,7 +592,7 @@ def scf_solve(
             for _ in range(config.a_inner_iters):
                 A_out = update_vector_potential(j, m, rho_out, A_out, spec)
         energy = total_energy(gamma, A, spec, V=V)
-        return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy)
+        return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
 
     def mix(prev_rho, prev_A, out_rho, out_A, th_r, th_a):
         if mixer is not None:
@@ -623,7 +626,7 @@ def scf_solve(
         if prev is not None:
             slack = max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
             halvings = 0
-            while cand.energy.total > energy_history[-1] + slack and halvings < config.max_halvings:
+            while cand.energy.total > energy_history[-1] + slack and halvings < MAX_HALVINGS:
                 halvings += 1
                 mix_rho = max(mix_rho / 2.0, 1e-3)
                 mix_A = max(mix_A / 2.0, 1e-3)
@@ -633,19 +636,7 @@ def scf_solve(
                 forced += 1
 
         # residual triple at the iterate's own mean field
-        v_h_out, _ = hartree(cand.rho_out)
-        v_eff_out = ScalarField(cell, V.values + v_h_out.values)
-        apply_out = make_hamiltonian(cell, v_eff_out, None if A_in.is_zero() else A_in)
-        HX = apply_out(cand.orbitals)
-        nmo = len(cand.occ)
-        lam = np.real(
-            np.sum(np.conjugate(cand.orbitals.reshape(nmo, -1)) * HX.reshape(nmo, -1), axis=1)
-            * cell.dV
-        )
-        R = HX - lam[:, None, None, None, None] * cand.orbitals
-        res_per = np.sqrt(np.sum(np.abs(R.reshape(nmo, -1)) ** 2, axis=1) * cell.dV)
-        occupied = cand.occ > 1e-12
-        res_orb = float(np.max(res_per[occupied] / np.maximum(1.0, np.abs(lam[occupied]))))
+        res_orb = cand.residual_orbital
         res_field = (
             0.0
             if config.pin_A
@@ -654,10 +645,7 @@ def scf_solve(
         res_cont = _continuity_residual(cand.rho_out, cand.j, A_in)
 
         energy_history.append(cand.energy.total)
-        if config.check_inequalities:
-            rep = kinetic_inequality_report(cand.gamma, None if A_in.is_zero() else A_in)
-            rep["iteration"] = it
-            ledger.append(rep)
+        ledger.append({**kinetic_inequality_report(cand.gamma, A_in), "iteration": it})
 
         state = SCFState(
             gamma=cand.gamma,

@@ -110,7 +110,7 @@ def scf_solve_spinless(
         v_h, _ = hartree(rho)
         v_eff = V.values + v_h.values
 
-        levels, orbitals, _, _ = eigensolve(
+        levels, orbitals, _, _, _ = eigensolve(
             _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=eig_tol,
             max_iter=eig_maxiter, X0=X_warm, seed=seed, components=1,
         )

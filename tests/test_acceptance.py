@@ -144,7 +144,7 @@ def test_criterion_05_scf_matches_independent_path():
     basis = np.eye(dim, dtype=complex).reshape(dim, 2, 6, 6, 6)
     H = apply_h(basis).reshape(dim, dim).T
     ref_levels = np.linalg.eigvalsh(H)
-    levels, _, _, _ = eigensolve(apply_h, cell6, 4, block=8, tol=1e-11, seed=0, max_iter=600)
+    levels, _, _, _, _ = eigensolve(apply_h, cell6, 4, block=8, tol=1e-11, seed=0, max_iter=600)
     dense_err = np.abs(levels[:4] - ref_levels[:4]).max()
     assert dense_err < 1e-9
     elapsed = time.time() - t0

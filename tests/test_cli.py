@@ -178,6 +178,14 @@ def test_alpha_scan_requires_alphas(tmp_path):
         ("beta-bound", {"zero_mode": {"spin_direction": [0, 1]}}, "zero_mode.spin_direction"),
         ("zero-mode", {"zero_mode": {"box_ns": [12, 15]}}, "n=15"),
         ("scf", {"system": {"nuclei": [{"z": 1.0, "R": [20.0, 6.0, 6.0]}]}}, "outside the cell"),
+        ("instability-scan", {"scan": {"lambdas": [2.0, 1.0]}}, "lambdas must be positive and strictly ascending"),
+        ("instability-scan", {"scan": {"lambdas": []}}, "lambdas must not be empty"),
+        ("alpha-scan", {"scan": {"alphas": [0.1, 0.05]}}, "alphas must be positive and strictly ascending"),
+        ("tf-bound", {"constants": {"C_LT": -1.0}}, "C_LT must be positive"),
+        ("check-inequalities", {"constants": {"C2": 0.0}}, "C2 must be positive"),
+        ("tf-bound", {"constants": {"C_sobolev": -2.0}}, "C_sobolev must be positive"),
+        ("zero-mode", {"zero_mode": {"dilation": 0.0}}, "dilation must be positive"),
+        ("check-inequalities", {"zero_mode": {"box_ns": []}}, "box_ns must not be empty"),
     ],
 )
 def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, message):
@@ -186,6 +194,15 @@ def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, mess
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert record is None
+
+
+def test_checkpoint_rejected_where_it_is_not_read(tmp_path):
+    ckpt = os.path.join(tmp_path, "state.ckpt")
+    proc, record, _ = _run("beta-bound", BASE, tmp_path, extra=("--checkpoint", ckpt))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "--checkpoint" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert record is None and not os.path.exists(ckpt)
 
 
 def test_dispatch_table_matches_parser():

@@ -156,10 +156,9 @@ def test_kinetic_kernel_matches_four_term_expansion():
     assert rel(apply_magnetic_laplacian(psi, A).values, lap[1]) <= 1e-13
 
 
-def test_kinetic_transform_counts(monkeypatch):
-    # the FFT count of an apply is fixed by the algorithm: 8 scalar
-    # transforms per spinor component with A != 0, 2 with A = 0
-    cell, A, X = _small_magnetic_problem()
+@pytest.fixture
+def transforms(monkeypatch):
+    """``transforms(fn, *args)`` calls ``fn`` and returns the scalar 3-D transforms it ran."""
     counts = []
     for name in ("to_spectral", "from_spectral"):
         original = getattr(Cell, name)
@@ -170,11 +169,18 @@ def test_kinetic_transform_counts(monkeypatch):
 
         monkeypatch.setattr(Cell, name, counted)
 
-    def transforms(fn, *args):
+    def count(fn, *args):
         counts.clear()
         fn(*args)
         return sum(counts)
 
+    return count
+
+
+def test_kinetic_transform_counts(transforms):
+    # the FFT count of an apply is fixed by the algorithm: 8 scalar
+    # transforms per spinor component with A != 0, 2 with A = 0
+    cell, A, X = _small_magnetic_problem()
     components = X.shape[0] * X.shape[1]
     assert transforms(make_hamiltonian(cell, None, A), X) == 8 * components
     assert transforms(make_hamiltonian(cell, None, None), X) == 2 * components
@@ -210,6 +216,20 @@ def test_magnetic_potential_invariants():
     raw = bandlimited_vector(CELL, rng, 0.3)
     with pytest.raises(ValueError):
         MagneticPotential(raw)  # not divergence-free
+
+
+def test_field_is_derived_on_first_read(transforms):
+    # building a potential without the gauge check, or the zero potential,
+    # runs no transform; B = curl A is computed once, when first read
+    cell, A, _ = _small_magnetic_problem()
+    assert transforms(MagneticPotential, A.A, False) == 0
+    assert transforms(MagneticPotential.zero, cell) == 0
+    pot, zero = MagneticPotential(A.A, check_gauge=False), MagneticPotential.zero(cell)
+    assert transforms(lambda: pot.B) == 6
+    assert transforms(lambda: pot.B) == 0
+    assert np.array_equal(pot.B.values, curl(A.A).values)
+    assert not np.any(zero.B.values)
+    assert zero.field_energy_raw == 0.0
 
 
 # ---------------------------------------------------------------- potentials

@@ -27,7 +27,7 @@ from magrhf.zeromodes import loss_yau, sample_on_cell
 def test_free_operator_spectrum():
     cell = Cell(8.0, 12)
     apply_h = make_hamiltonian(cell, None, None)
-    levels, orbs, res, _ = eigensolve(apply_h, cell, 8, block=10, tol=1e-10, seed=1)
+    levels, orbs, res, _, _ = eigensolve(apply_h, cell, 8, block=10, tol=1e-10, seed=1)
     k1 = (2 * np.pi / 8.0) ** 2 / 2.0
     # two zero modes (constant spinors), then the first shell at k1 with
     # multiplicity 2 (spin) x 6 (directions)
@@ -52,8 +52,11 @@ def test_eigensolve_matches_dense_oracle():
     H = apply_h(basis).reshape(dim, dim).T
     assert np.abs(H - H.conj().T).max() < 1e-13
     ref = np.linalg.eigvalsh(H)
-    levels, _, _, _ = eigensolve(apply_h, cell, 5, block=8, tol=1e-11, seed=0, max_iter=600)
+    levels, orbs, _, _, h_orbs = eigensolve(apply_h, cell, 5, block=8, tol=1e-11, seed=0, max_iter=600)
     assert np.abs(levels[:5] - ref[:5]).max() < 1e-9
+    # the H X block the iteration kept current is H applied to the result
+    direct = apply_h(orbs)
+    assert np.linalg.norm(h_orbs - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_eigensolve_scalar_block_matches_dense_oracle():
@@ -69,7 +72,7 @@ def test_eigensolve_scalar_block_matches_dense_oracle():
     H = apply_h(np.eye(dim, dtype=complex).reshape(dim, 1, 6, 6, 6)).reshape(dim, dim).T
     assert np.abs(H - H.conj().T).max() < 1e-13
     ref = np.linalg.eigvalsh(H)
-    levels, orbs, res, _ = eigensolve(apply_h, cell, 4, block=6, tol=1e-11, seed=0, max_iter=600, components=1)
+    levels, orbs, res, _, _ = eigensolve(apply_h, cell, 4, block=6, tol=1e-11, seed=0, max_iter=600, components=1)
     assert orbs.shape == (6, 1, 6, 6, 6)
     assert np.all(res[:4] <= 1e-11)
     assert np.abs(levels[:4] - ref[:4]).max() < 1e-9
@@ -86,7 +89,7 @@ def test_eigensolve_zero_mode_level_drops_under_refinement():
         cell = Cell(24.0, n)
         _, pot = sample_on_cell(fam, cell)
         apply_h = make_hamiltonian(cell, None, pot)
-        levels, _, _, _ = eigensolve(apply_h, cell, 1, block=3, tol=1e-8, seed=2, max_iter=500)
+        levels, _, _, _, _ = eigensolve(apply_h, cell, 1, block=3, tol=1e-8, seed=2, max_iter=500)
         lows.append(abs(levels[0]))
     assert lows[-1] < 0.1 * lows[0]
     assert lows[-1] < 1e-3
@@ -193,6 +196,43 @@ def test_scf_pinned_matches_spinless_reference():
     ref = scf_solve_spinless(spec, tol=1e-9)
     assert ref.converged
     assert abs(state.energy.total - ref.energy_total) < 1e-8 * abs(ref.energy_total)
+
+
+def test_scf_builds_one_hamiltonian_per_eigensolve(monkeypatch):
+    # the orbital residual reuses the eigensolver's H X instead of
+    # building and applying the output mean field's Hamiltonian
+    import magrhf.scf as scf
+
+    calls = {"make_hamiltonian": 0, "eigensolve": 0}
+    for name in calls:
+        original = getattr(scf, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scf, name, counted)
+    cell = Cell(8.0, 12)
+    spec = SystemSpec(cell, (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.2)
+    # deg_threshold=0 fills one spin state, so A != 0 from the second iterate
+    state = scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=4, seed=0))
+    assert not state.A.is_zero()
+    assert calls["eigensolve"] >= 4
+    assert calls["make_hamiltonian"] == calls["eigensolve"]
+
+    # oracle: the residual of the last iterate with a freshly built H_out
+    from magrhf.hamiltonian import external_potential, hartree
+
+    X = np.stack([orb.values for orb in state.gamma.orbitals])
+    v_h, _ = hartree(density(state.gamma))
+    V = external_potential(spec, s_nuc=2.0 * cell.spacing)
+    HX = scf.make_hamiltonian(cell, ScalarField(cell, V.values + v_h.values), state.A)(X)
+    flat, hflat = X.reshape(len(X), -1), HX.reshape(len(X), -1)
+    lam = np.real(np.sum(flat.conj() * hflat, axis=1) * cell.dV)
+    res = np.sqrt(np.sum(np.abs(hflat - lam[:, None] * flat) ** 2, axis=1) * cell.dV)
+    occupied = state.gamma.occupations > 1e-12
+    expected = np.max(res[occupied] / np.maximum(1.0, np.abs(lam[occupied])))
+    assert abs(state.residual_orbital - expected) <= 1e-10
 
 
 def test_scf_energy_history_nonincreasing(criterion6_periodic):
