@@ -118,11 +118,6 @@ class SystemSpec:
         """Total nuclear charge."""
         return float(sum(nuc.z for nuc in self.nuclei))
 
-    @property
-    def z_max(self) -> float:
-        """Largest single nuclear charge."""
-        return float(max(nuc.z for nuc in self.nuclei))
-
 
 #: relative bound on |div A| accepted by the Coulomb-gauge check
 GAUGE_TOL = 1e-10
@@ -162,7 +157,8 @@ class MagneticPotential:
 
     @property
     def field_energy_raw(self) -> float:
-        return self.B.square_integral()
+        # a zero potential has an exactly zero field; skip its curl
+        return 0.0 if self.is_zero() else self.B.square_integral()
 
     def is_zero(self) -> bool:
         return not np.any(self.A.values)

@@ -22,8 +22,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .fields import Cell, VectorField
-from .hamiltonian import Nucleus, SystemSpec
+from .density import DensityMatrix
+from .fields import Cell, SpinorField, VectorField
+from .hamiltonian import MagneticPotential, Nucleus, SystemSpec
 from .scf import SCFConfig, SCFState
 from .tfbound import RadialGrid
 from .zeromodes import unit_direction
@@ -99,17 +100,14 @@ class SCFSettings:
 
     max_iter: int = 80
     tol: float = 1e-7
-    mix_rho: float = 0.6
-    mix_A: float = 0.6
+    mix: float = 0.6
     eig_block: int | None = None
     eig_tol: float | None = None
-    eig_maxiter: int = 300
     deg_threshold: float = 1e-6
     anderson_depth: int = 0
     pin_A: bool = False
     s_nuc: float | None = None
     energy_floor: float = -1.0e4
-    a_inner_iters: int = 2
 
     def __post_init__(self) -> None:
         SCFConfig(**asdict(self))
@@ -348,11 +346,19 @@ def _atomic_write(path: str, data: str | bytes) -> None:
 # binary checkpoints
 # --------------------------------------------------------------------------
 
-_MAGIC = b"MRHF1"
-_VERSION = 1
+_MAGIC = b"MRHF2"
+#: the format version each magic carries; MRHF1 has no system digest
+_VERSIONS = {b"MRHF1": 1, _MAGIC: 2}
 _HEADER = struct.Struct("<IdIIBddI")
+_DIGEST_SIZE = hashlib.sha256().digest_size
 _MODES = {"molecular": 0, "periodic": 1}
 _MODES_BACK = {v: k for k, v in _MODES.items()}
+
+
+def _system_digest(spec: SystemSpec) -> bytes:
+    """SHA-256 of the nuclei (z, R, in order) and N as little-endian f64."""
+    values = [v for nuc in spec.nuclei for v in (nuc.z, *nuc.R)] + [spec.N]
+    return hashlib.sha256(np.array(values, dtype="<f8").tobytes()).digest()
 
 
 @dataclass
@@ -368,8 +374,10 @@ class CheckpointData:
     occupations: np.ndarray
     orbitals: np.ndarray  # (n_orb, 2, n, n, n) complex
     A_values: np.ndarray  # (3, n, n, n)
+    system: bytes | None  # digest of the nuclei and N; None in an MRHF1 file
 
-    def initial_for(self, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray, VectorField]:
+    def initial_for(self, spec: SystemSpec) -> tuple[DensityMatrix, MagneticPotential]:
+        """The stored ``(gamma, A)`` as the warm start of ``scf_solve`` for ``spec``."""
         if abs(spec.cell.L - self.L) > 1e-12 or spec.cell.n != self.n:
             raise CheckpointError(
                 f"checkpoint cell (L={self.L}, n={self.n}) does not match the "
@@ -379,43 +387,53 @@ class CheckpointData:
             raise CheckpointError(
                 f"checkpoint mode {self.mode!r} does not match the configured mode {spec.mode!r}"
             )
-        return self.orbitals, self.occupations, VectorField(spec.cell, self.A_values)
+        if self.system is not None and self.system != _system_digest(spec):
+            raise CheckpointError("checkpoint was written for other nuclei or another electron count N")
+        orbitals = tuple(SpinorField(spec.cell, v) for v in self.orbitals)
+        try:
+            gamma = DensityMatrix(orbitals, self.occupations, mode=self.mode)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint orbitals: {exc}") from exc
+        return gamma, MagneticPotential(VectorField(spec.cell, self.A_values), check_gauge=False)
 
 
 def checkpoint_save(state: SCFState, path: str) -> None:
     """Write the orbital set, occupations and vector potential.
 
-    Layout (little-endian): magic "MRHF1", u32 version, f64 L, u32 n,
+    Layout (little-endian): magic "MRHF2", u32 version 2, f64 L, u32 n,
     u32 n_orbitals, u8 mode, f64 alpha, f64 fermi_energy, u32 iteration,
-    then occupations as f64, orbitals as interleaved re/im f64 in
-    C-order (orbital, spin, x, y, z), then the vector potential as f64.
+    the 32-byte SHA-256 of the nuclei and N, then occupations as f64,
+    orbitals as complex128 (re/im f64 pairs) in C-order (orbital, spin,
+    x, y, z), then the vector potential as f64.  An "MRHF1" file
+    (version 1) is the same without the digest.
     """
     cell = state.gamma.cell
     n_orb = len(state.gamma.orbitals)
     header = _MAGIC + _HEADER.pack(
-        _VERSION, cell.L, cell.n, n_orb, _MODES[state.gamma.mode], state.alpha,
+        _VERSIONS[_MAGIC], cell.L, cell.n, n_orb, _MODES[state.gamma.mode], state.spec.alpha,
         state.fermi_energy, state.iteration,
-    )
+    ) + _system_digest(state.spec)
     occ = np.ascontiguousarray(state.gamma.occupations, dtype="<f8")
-    orbs = np.stack([orb.values for orb in state.gamma.orbitals])
-    orb_view = np.empty(orbs.shape + (2,), dtype="<f8")
-    orb_view[..., 0] = orbs.real
-    orb_view[..., 1] = orbs.imag
+    orbs = np.ascontiguousarray(np.stack([orb.values for orb in state.gamma.orbitals]), dtype="<c16")
     a_vals = np.ascontiguousarray(state.A.A.values, dtype="<f8")
-    _atomic_write(path, header + occ.tobytes() + orb_view.tobytes() + a_vals.tobytes())
+    _atomic_write(path, header + occ.tobytes() + orbs.tobytes() + a_vals.tobytes())
 
 
 def checkpoint_load(path: str) -> CheckpointData:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:5] != _MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes {blob[:5]!r}")
+    magic = blob[: len(_MAGIC)]
+    if magic not in _VERSIONS:
+        raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
     off = len(_MAGIC) + _HEADER.size
-    if len(blob) < off:
+    digest_size = _DIGEST_SIZE if magic == _MAGIC else 0
+    if len(blob) < off + digest_size:
         raise CheckpointError(f"{path}: truncated header")
     version, L, n, n_orb, mode, alpha, fermi, iteration = _HEADER.unpack_from(blob, len(_MAGIC))
-    if version != _VERSION:
+    if version != _VERSIONS[magic]:
         raise CheckpointError(f"{path}: unsupported version {version}")
+    system = blob[off : off + digest_size] if digest_size else None
+    off += digest_size
     if mode not in _MODES_BACK:
         raise CheckpointError(f"{path}: unknown mode byte {mode}")
     n3 = n**3
@@ -426,9 +444,8 @@ def checkpoint_load(path: str) -> CheckpointData:
         )
     occ = np.frombuffer(blob, dtype="<f8", count=n_orb, offset=off).copy()
     off += n_orb * 8
-    raw = np.frombuffer(blob, dtype="<f8", count=n_orb * 2 * n3 * 2, offset=off)
-    raw = raw.reshape(n_orb, 2, n, n, n, 2)
-    orbitals = (raw[..., 0] + 1j * raw[..., 1]).copy()
+    orbitals = np.frombuffer(blob, dtype="<c16", count=n_orb * 2 * n3, offset=off)
+    orbitals = orbitals.reshape(n_orb, 2, n, n, n).copy()
     off += n_orb * 2 * n3 * 16
     a_vals = np.frombuffer(blob, dtype="<f8", count=3 * n3, offset=off).reshape(3, n, n, n).copy()
     return CheckpointData(
@@ -441,4 +458,5 @@ def checkpoint_load(path: str) -> CheckpointData:
         occupations=occ,
         orbitals=orbitals,
         A_values=a_vals,
+        system=system,
     )

@@ -71,13 +71,18 @@ __all__ = [
 
 #: retries with halved mixing before an energy-raising step is accepted
 MAX_HALVINGS = 8
+#: LOBPCG iteration cap of each eigensolve
+EIG_MAXITER = 300
+#: lagged field solves per outer iteration (the ``A rho`` term of the field equation)
+A_INNER_ITERS = 2
 
 
 @dataclass(frozen=True)
 class SCFConfig:
     """Knobs of the fixed-point iteration.
 
-    ``mix_rho`` and ``mix_A`` are the linear mixing fractions in (0, 1];
+    ``mix`` is the linear mixing fraction in (0, 1] of both the density
+    and the vector potential;
     ``deg_threshold`` groups levels into a degenerate Fermi shell;
     ``anderson_depth`` > 0 turns on Anderson acceleration of the density
     update with that history depth.  ``pin_A`` freezes the vector
@@ -86,23 +91,20 @@ class SCFConfig:
 
     max_iter: int = 80
     tol: float = 1e-8
-    mix_rho: float = 0.6
-    mix_A: float = 0.6
+    mix: float = 0.6
     eig_block: int | None = None
     eig_tol: float | None = None
-    eig_maxiter: int = 300
     deg_threshold: float = 1e-6
     seed: int = 0
     anderson_depth: int = 0
     pin_A: bool = False
     s_nuc: float | None = None
     energy_floor: float = -1.0e4
-    a_inner_iters: int = 2
     energy_slack_rel: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.mix_rho <= 1.0 and 0.0 < self.mix_A <= 1.0):
-            raise ValueError("mixing parameters must lie in (0, 1]")
+        if not 0.0 < self.mix <= 1.0:
+            raise ValueError("the mixing fraction must lie in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
@@ -429,8 +431,9 @@ def _orbital_residual(cell: Cell, X: np.ndarray, HX: np.ndarray, occ: np.ndarray
 
 @dataclass
 class SCFState:
-    """Converged (or best-effort) self-consistent state."""
+    """Converged (or best-effort) self-consistent state of the system ``spec``."""
 
+    spec: SystemSpec
     gamma: DensityMatrix
     A: MagneticPotential
     energy: EnergyBreakdown
@@ -445,8 +448,6 @@ class SCFState:
     energy_history: tuple[float, ...] = ()
     inequality_ledger: tuple[dict, ...] = ()
     forced_energy_increases: int = 0
-    #: coupling of the solved system; 0 when unknown
-    alpha: float = 0.0
 
     @property
     def residuals(self) -> tuple[float, float, float]:
@@ -524,12 +525,14 @@ def scf_solve(
     spec: SystemSpec,
     config: SCFConfig | None = None,
     *,
-    initial: tuple[np.ndarray, np.ndarray, VectorField] | None = None,
+    initial: tuple[DensityMatrix, MagneticPotential] | None = None,
 ) -> SCFState:
     """Run the alternating fixed-point loop to self-consistency.
 
-    ``initial`` may carry ``(orbital_values, occupations, A_values)``
-    from a checkpoint or a previous solve to warm-start the iteration.
+    ``initial`` may carry a state ``(gamma, A)`` from a checkpoint or a
+    previous solve to warm-start the iteration: its orbitals seed the
+    eigensolver, its density (scaled to ``N``) the mean field and, unless
+    ``pin_A``, its potential the field.
     Non-convergence returns the best state flagged ``"not_converged"``;
     an energy below the configured floor returns a state flagged
     ``"instability"`` instead of looping forever.
@@ -549,18 +552,15 @@ def scf_solve(
     A_in = MagneticPotential.zero(cell)
     X_warm = None
     if initial is not None:
-        orbs0, occ0, A0 = initial
-        X_warm = np.asarray(orbs0, dtype=complex)
-        vals = np.zeros((cell.n,) * 3)
-        for nk, orb in zip(np.asarray(occ0, dtype=float), X_warm):
-            vals += nk * np.sum(np.abs(orb) ** 2, axis=0)
+        gamma0, A0 = initial
+        X_warm = np.stack([orb.values for orb in gamma0.orbitals])
+        vals = density(gamma0).values
         if vals.sum() > 0:
             rho_in = ScalarField(cell, vals * spec.N / (vals.sum() * cell.dV))
         if not config.pin_A:
-            a_vals = A0.values if isinstance(A0, VectorField) else np.asarray(A0)
-            A_in = MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
+            A_in = A0
 
-    mixer = _AndersonMixer(config.anderson_depth, config.mix_rho) if config.anderson_depth else None
+    mixer = _AndersonMixer(config.anderson_depth, config.mix) if config.anderson_depth else None
 
     # the eigensolver runs loose while the mean field is far from
     # self-consistent and tightens as the outer residual shrinks
@@ -572,7 +572,7 @@ def scf_solve(
         apply_h = make_hamiltonian(cell, v_eff, A)
         levels, orbitals, _, _, h_orbitals = eigensolve(
             apply_h, cell, count, block=block, tol=eig_tol_eff,
-            max_iter=config.eig_maxiter, X0=X0, seed=config.seed,
+            max_iter=EIG_MAXITER, X0=X0, seed=config.seed,
         )
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
         gamma = DensityMatrix(
@@ -589,22 +589,22 @@ def scf_solve(
             A_out = MagneticPotential.zero(cell)
         else:
             A_out = A
-            for _ in range(config.a_inner_iters):
+            for _ in range(A_INNER_ITERS):
                 A_out = update_vector_potential(j, m, rho_out, A_out, spec)
         energy = total_energy(gamma, A, spec, V=V)
         return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
 
-    def mix(prev_rho, prev_A, out_rho, out_A, th_r, th_a):
+    def mix(prev_rho, prev_A, out_rho, out_A, theta):
         if mixer is not None:
             vals = mixer.push(prev_rho.values, out_rho.values)
             vals = np.maximum(vals, 0.0)
             vals *= spec.N / max(vals.sum() * cell.dV, 1e-300)
         else:
-            vals = (1.0 - th_r) * prev_rho.values + th_r * out_rho.values
+            vals = (1.0 - theta) * prev_rho.values + theta * out_rho.values
         new_rho = ScalarField(cell, vals)
         if config.pin_A:
             return new_rho, MagneticPotential.zero(cell)
-        a_vals = (1.0 - th_a) * prev_A.A.values + th_a * out_A.A.values
+        a_vals = (1.0 - theta) * prev_A.A.values + theta * out_A.A.values
         return new_rho, MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
 
     energy_history: list[float] = []
@@ -613,7 +613,7 @@ def scf_solve(
     state: SCFState | None = None
     prev: _Iterate | None = None
     prev_inputs: tuple[ScalarField, MagneticPotential] | None = None
-    mix_rho, mix_A = config.mix_rho, config.mix_A
+    theta = config.mix
 
     for it in range(1, config.max_iter + 1):
         try:
@@ -628,9 +628,8 @@ def scf_solve(
             halvings = 0
             while cand.energy.total > energy_history[-1] + slack and halvings < MAX_HALVINGS:
                 halvings += 1
-                mix_rho = max(mix_rho / 2.0, 1e-3)
-                mix_A = max(mix_A / 2.0, 1e-3)
-                rho_in, A_in = mix(prev_inputs[0], prev_inputs[1], prev.rho_out, prev.A_out, mix_rho, mix_A)
+                theta = max(theta / 2.0, 1e-3)
+                rho_in, A_in = mix(prev_inputs[0], prev_inputs[1], prev.rho_out, prev.A_out, theta)
                 cand = evaluate(rho_in, A_in, X_warm)
             if cand.energy.total > energy_history[-1] + slack:
                 forced += 1
@@ -648,6 +647,7 @@ def scf_solve(
         ledger.append({**kinetic_inequality_report(cand.gamma, A_in), "iteration": it})
 
         state = SCFState(
+            spec=spec,
             gamma=cand.gamma,
             A=A_in,
             energy=cand.energy,
@@ -662,7 +662,6 @@ def scf_solve(
             energy_history=tuple(energy_history),
             inequality_ledger=tuple(ledger),
             forced_energy_increases=forced,
-            alpha=spec.alpha,
         )
         if cand.energy.total < config.energy_floor:
             state.flag = "instability"
@@ -674,7 +673,7 @@ def scf_solve(
 
         prev = cand
         prev_inputs = (rho_in, A_in)
-        rho_in, A_in = mix(rho_in, A_in, cand.rho_out, cand.A_out, mix_rho, mix_A)
+        rho_in, A_in = mix(rho_in, A_in, cand.rho_out, cand.A_out, theta)
         X_warm = cand.orbitals
 
     state.flag = state.flag or "not_converged"
@@ -715,11 +714,7 @@ def scan_alpha(
                 residuals=state.residuals,
             )
         )
-        warm = (
-            np.stack([orb.values for orb in state.gamma.orbitals]),
-            state.gamma.occupations,
-            state.A.A,
-        )
+        warm = (state.gamma, state.A)
     return rows
 
 

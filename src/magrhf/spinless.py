@@ -21,6 +21,12 @@ from .scf import eigensolve
 
 __all__ = ["SpinlessResult", "scf_solve_spinless"]
 
+#: outer-iteration cap, linear density mixing fraction and LOBPCG
+#: iteration cap of the oracle's fixed point
+MAX_ITER = 120
+MIX = 0.6
+EIG_MAXITER = 400
+
 
 @dataclass
 class SpinlessResult:
@@ -72,10 +78,7 @@ def scf_solve_spinless(
     spec: SystemSpec,
     *,
     tol: float = 1e-10,
-    max_iter: int = 120,
-    mix: float = 0.6,
     eig_tol: float | None = None,
-    eig_maxiter: int = 400,
     s_nuc: float | None = None,
     seed: int = 7,
 ) -> SpinlessResult:
@@ -106,13 +109,13 @@ def scf_solve_spinless(
     converged = False
     res_orb = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         v_h, _ = hartree(rho)
         v_eff = V.values + v_h.values
 
         levels, orbitals, _, _, _ = eigensolve(
             _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=eig_tol,
-            max_iter=eig_maxiter, X0=X_warm, seed=seed, components=1,
+            max_iter=EIG_MAXITER, X0=X_warm, seed=seed, components=1,
         )
         occ = _fill_capacity2(levels, spec.N)
         rho_out = np.zeros((cell.n,) * 3)
@@ -135,7 +138,7 @@ def scf_solve_spinless(
             rho = rho_out_field
             converged = True
             break
-        rho = ScalarField(cell, (1.0 - mix) * rho.values + mix * rho_out)
+        rho = ScalarField(cell, (1.0 - MIX) * rho.values + MIX * rho_out)
         X_warm = orbitals
 
     # direct energy assembly from the integrals

@@ -178,7 +178,6 @@ def tf_minimize(
     *,
     tol: float = 1e-7,
     max_iter: int = 4000,
-    verbose: bool = False,
 ) -> TFMinimizeResult:
     """Minimise the radial functional over nonnegative densities.
 
@@ -208,8 +207,6 @@ def tf_minimize(
     g = _tf_gradient(rho)
     kkt = float(np.max(np.abs(np.minimum(rho.values, g))))
     e = tf_energy(rho)
-    if verbose:
-        print(f"tf_minimize fixed point: it {it}, E = {e:.10f}, kkt = {kkt:.3e}")
     polish = 0
     while kkt > tol and polish < max_iter:
         polish += 1
@@ -225,8 +222,6 @@ def tf_minimize(
         rho, e = cand, e_cand
         g = _tf_gradient(rho)
         kkt = float(np.max(np.abs(np.minimum(rho.values, g))))
-        if verbose and polish % 100 == 0:
-            print(f"tf_minimize polish {polish}: E = {e:.10f}, kkt = {kkt:.3e}")
     return TFMinimizeResult(e, rho, kkt, it + polish, kkt <= tol)
 
 
@@ -234,8 +229,6 @@ def penalised_f(
     state: ZeroModeFamily | tuple[DensityMatrix, MagneticPotential],
     z: float,
     lam: float,
-    *,
-    center: tuple[float, float, float] | None = None,
 ) -> float:
     """Kinetic-penalised scale-invariant functional.
 
@@ -243,8 +236,9 @@ def penalised_f(
     value coincides with the unpenalised functional for every ``lam``.
     For a grid state ``(gamma, A)`` the integrals are taken on the cell
     (with the periodic Coulomb kernel standing in for 1/|x| about the
-    cell center) and the state is first dilated, exactly in the
-    bookkeeping, so that the field energy is one:
+    cell centre, where ``zeromodes.sample_on_cell`` puts the zero mode)
+    and the state is first dilated, exactly in the bookkeeping, so that
+    the field energy is one:
 
         value = D/2 mu - z I mu + lam K mu^2,   mu = 1 / int |B|^2.
     """
@@ -255,17 +249,11 @@ def penalised_f(
     gamma, A = state
     cell = gamma.cell
     rho = density(gamma)
-    if center is None:
-        center = (0.5 * cell.L,) * 3
+    # the kernel translated by L/2: exp(i k . L/2) = (-1)^m is its own
+    # inverse, so the sign of the translation does not matter
+    c = 0.5 * cell.L
     g_r = green_function_GR(cell)
-    shift = np.exp(
-        1j
-        * (
-            cell.k[0] * center[0]
-            + cell.k[1] * center[1]
-            + cell.k[2] * center[2]
-        )
-    )
+    shift = np.exp(1j * (cell.k[0] * c + cell.k[1] * c + cell.k[2] * c))
     g_centered = ScalarField.from_spectral(cell, g_r.spectral() * shift)
     attraction = float(np.sum(rho.values * g_centered.values) * cell.dV)
     _, hartree_energy = _hartree(rho)

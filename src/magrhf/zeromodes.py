@@ -81,9 +81,7 @@ def psi_values(points: np.ndarray, w: np.ndarray, *, conj_sign: float = SPINOR_C
     return np.stack([pref * up, pref * dn])
 
 
-def a_values(
-    points: np.ndarray, w: np.ndarray, *, cross_sign: float = CROSS_SIGN, field_sign: float = +1.0
-) -> np.ndarray:
+def a_values(points: np.ndarray, w: np.ndarray, *, cross_sign: float = CROSS_SIGN) -> np.ndarray:
     """Evaluate the vector potential at points (3, ...); lam = 1."""
     x = np.asarray(points, dtype=float)
     r2 = np.sum(x * x, axis=0)
@@ -96,7 +94,7 @@ def a_values(
             x[0] * wv[1] - x[1] * wv[0],
         ]
     )
-    pref = field_sign * 3.0 * (1.0 + r2) ** -2
+    pref = 3.0 * (1.0 + r2) ** -2
     return pref[None] * ((1.0 - r2)[None] * wv + 2.0 * wdotx[None] * x + 2.0 * cross_sign * cross)
 
 
@@ -362,18 +360,14 @@ def instability_scan(
     )
 
 
-def sample_on_cell(
-    fam: ZeroModeFamily, cell: Cell, center: tuple[float, float, float] | None = None
-) -> tuple[SpinorField, MagneticPotential]:
-    """Sample (Psi, A) on a periodic grid, centred in the cell by default.
+def sample_on_cell(fam: ZeroModeFamily, cell: Cell) -> tuple[SpinorField, MagneticPotential]:
+    """Sample (Psi, A) on a periodic grid, centred in the cell.
 
     The analytic pair is exactly Coulomb-gauge; the grid samples carry
     the periodisation error of the slowly decaying tails, so the gauge
     check is skipped and ``B`` is the spectral curl of the sampled ``A``.
     """
-    if center is None:
-        center = (0.5 * cell.L,) * 3
-    disp = cell.displacements(center)
+    disp = cell.displacements((0.5 * cell.L,) * 3)
     psi = SpinorField(cell, fam.psi(disp))
     a = VectorField(cell, fam.vector_potential(disp))
     return psi, MagneticPotential(a, check_gauge=False)

@@ -230,6 +230,10 @@ def test_field_is_derived_on_first_read(transforms):
     assert np.array_equal(pot.B.values, curl(A.A).values)
     assert not np.any(zero.B.values)
     assert zero.field_energy_raw == 0.0
+    # the field energy of a zero potential is an exact 0 without its curl
+    fresh = MagneticPotential.zero(cell)
+    assert transforms(lambda: fresh.field_energy_raw) == 0
+    assert fresh.field_energy_raw == 0.0
 
 
 # ---------------------------------------------------------------- potentials

@@ -3,24 +3,27 @@
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from magrhf.fields import Cell
-from magrhf.hamiltonian import Nucleus, SystemSpec
+from magrhf.density import DensityMatrix
+from magrhf.fields import Cell, SpinorField, VectorField
+from magrhf.hamiltonian import MagneticPotential, Nucleus, SystemSpec
 from magrhf.runio import (
     CheckpointError,
     ConfigError,
     ResultRecord,
     RunConfig,
+    SCFSettings,
     checkpoint_load,
     checkpoint_save,
     config_hash,
     parse_config,
     serialize_config,
 )
-from magrhf.scf import SCFConfig, scf_solve
+from magrhf.scf import SCFConfig, SCFState, scf_solve
 
 
 def test_minimal_config_fills_defaults():
@@ -41,6 +44,10 @@ def test_unknown_key_is_named():
         parse_config('{"system": {"nuclei": [{"charge": 1.0}]}}')
     with pytest.raises(ConfigError, match="unknown key 'scan.epsilon_points'"):
         parse_config('{"scan": {"epsilon_points": 100001}}')
+    # one mixing fraction; the eigensolver cap and the lagged field solves are constants
+    for key in ("mix_rho", "mix_A", "eig_maxiter", "a_inner_iters"):
+        with pytest.raises(ConfigError, match=f"unknown key 'scf.{key}'"):
+            parse_config(json.dumps({"scf": {key: 1}}))
 
 
 def test_type_and_physics_validation():
@@ -49,7 +56,7 @@ def test_type_and_physics_validation():
     with pytest.raises(ConfigError):
         parse_config('{"system": {"alpha": "big"}}')
     with pytest.raises(ConfigError):
-        parse_config('{"scf": {"mix_rho": 2.0}}')
+        parse_config('{"scf": {"mix": 2.0}}')
     with pytest.raises(ConfigError):
         parse_config('{"system": {"cell": {"n": 7}}}')
     with pytest.raises(ConfigError):
@@ -81,7 +88,7 @@ def _random_config(rng) -> RunConfig:
             "scf": {
                 "max_iter": int(rng.integers(5, 100)),
                 "tol": float(rng.uniform(1e-9, 1e-5)),
-                "mix_rho": float(rng.uniform(0.1, 1.0)),
+                "mix": float(rng.uniform(0.1, 1.0)),
                 "pin_A": bool(rng.integers(0, 2)),
             },
             "scan": {"zs": [float(v) for v in rng.uniform(0.5, 9, 3)]},
@@ -94,6 +101,16 @@ def _random_config(rng) -> RunConfig:
         z = cfg.system.nuclei[0].z
         cfg = parse_config(text.replace(f'"N": {cfg.system.N}', f'"N": {z}'))
     return cfg
+
+
+def test_scf_settings_mirror_scf_config():
+    # every CLI setting is a library knob with the library's default, except tol
+    library = {f.name: f.default for f in fields(SCFConfig)}
+    for f in fields(SCFSettings):
+        assert f.name in library, f.name
+        if f.name != "tol":
+            assert f.default == library[f.name], f.name
+    assert (SCFSettings().tol, SCFConfig().tol) == (1e-7, 1e-8)
 
 
 def test_roundtrip_fifty_random_configs():
@@ -125,24 +142,15 @@ def small_state():
     return spec, state
 
 
-def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
-    spec, state = small_state
-    p1 = os.path.join(tmp_path, "a.ckpt")
-    p2 = os.path.join(tmp_path, "b.ckpt")
-    checkpoint_save(state, p1)
-    data = checkpoint_load(p1)
-    assert data.alpha == spec.alpha
-    # reconstruct an equivalent state container and save again
-    from magrhf.density import DensityMatrix
-    from magrhf.fields import SpinorField, VectorField
-    from magrhf.hamiltonian import MagneticPotential
-    from magrhf.scf import SCFState
-
+def _clone(spec, state, data, orbitals=None) -> SCFState:
+    """An equivalent state container rebuilt from loaded checkpoint data."""
+    orbitals = data.orbitals if orbitals is None else orbitals
     gamma = DensityMatrix(
-        tuple(SpinorField(spec.cell, v) for v in data.orbitals), data.occupations, mode=data.mode
+        tuple(SpinorField(spec.cell, v) for v in orbitals), data.occupations, mode=data.mode
     )
     pot = MagneticPotential(VectorField(spec.cell, data.A_values), check_gauge=False)
-    clone = SCFState(
+    return SCFState(
+        spec=spec,
         gamma=gamma,
         A=pot,
         energy=state.energy,
@@ -153,10 +161,33 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
         residual_field=0.0,
         residual_continuity=0.0,
         converged=True,
-        alpha=data.alpha,
     )
-    checkpoint_save(clone, p2)
+
+
+def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
+    spec, state = small_state
+    p1, p2, p3, p4 = (os.path.join(tmp_path, f"{c}.ckpt") for c in "abcd")
+    checkpoint_save(state, p1)
+    data = checkpoint_load(p1)
+    assert data.alpha == spec.alpha
+    # reconstruct an equivalent state container and save again
+    checkpoint_save(_clone(spec, state, data), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+    # a negative zero survives save -> load -> save, in either part: phases
+    # make one entry real in orbital 0 and imaginary in orbital 1, and the
+    # vanishing part of each is then set to -0.0
+    signed = data.orbitals.copy()
+    v0, v1 = signed[0, 0, 0, 0, 0], signed[1, 0, 0, 0, 0]
+    signed[0] *= abs(v0) / v0
+    signed[1] *= 1j * abs(v1) / v1
+    signed[0, 0, 0, 0, 0] = complex(abs(v0), -0.0)
+    signed[1, 0, 0, 0, 0] = complex(-0.0, abs(v1))
+    checkpoint_save(_clone(spec, state, data, signed), p3)
+    again = checkpoint_load(p3)
+    assert np.signbit(again.orbitals[0, 0, 0, 0, 0].imag)
+    assert np.signbit(again.orbitals[1, 0, 0, 0, 0].real)
+    checkpoint_save(_clone(spec, state, again), p4)
+    assert open(p3, "rb").read() == open(p4, "rb").read()
 
 
 def test_checkpoint_header_and_errors(tmp_path, small_state):
@@ -164,7 +195,7 @@ def test_checkpoint_header_and_errors(tmp_path, small_state):
     path = os.path.join(tmp_path, "c.ckpt")
     checkpoint_save(state, path)
     blob = open(path, "rb").read()
-    assert blob[:5] == b"MRHF1"
+    assert blob[:5] == b"MRHF2"
     # corrupt magic
     bad = os.path.join(tmp_path, "bad.ckpt")
     open(bad, "wb").write(b"XXXXX" + blob[5:])
@@ -194,6 +225,45 @@ def test_checkpoint_cell_mismatch(tmp_path, small_state):
     periodic = SystemSpec(spec.cell, spec.nuclei, N=1.0, alpha=0.05, mode="periodic")
     with pytest.raises(CheckpointError, match="mode"):
         data.initial_for(periodic)
+    # another molecule on the same cell: other charges, positions or N
+    for nuclei, N in (
+        ((Nucleus(2.0, (4.0,) * 3),), 2.0),
+        ((Nucleus(1.0, (4.0, 4.0, 4.5)),), 1.0),
+        ((Nucleus(1.0, (2.0,) * 3), Nucleus(1.0, (6.0,) * 3)), 1.0),
+        (spec.nuclei, 0.5),
+    ):
+        with pytest.raises(CheckpointError, match="nuclei"):
+            data.initial_for(SystemSpec(spec.cell, nuclei, N=N, alpha=0.05))
+    # the coupling is not part of the system check: alpha scans warm-start across it
+    gamma, pot = data.initial_for(SystemSpec(spec.cell, spec.nuclei, N=1.0, alpha=0.1))
+    assert np.array_equal(np.stack([orb.values for orb in gamma.orbitals]), data.orbitals)
+    assert np.array_equal(pot.A.values, data.A_values)
+    # a corrupt orbital block is a checkpoint error, not a bare ValueError
+    data.orbitals[0] *= 2.0
+    with pytest.raises(CheckpointError, match="orthonormal"):
+        data.initial_for(spec)
+
+
+def test_checkpoint_reads_mrhf1(tmp_path, small_state):
+    # an MRHF1 file is an MRHF2 file with version 1 and no system digest
+    spec, state = small_state
+    path, old = os.path.join(tmp_path, "v2.ckpt"), os.path.join(tmp_path, "v1.ckpt")
+    checkpoint_save(state, path)
+    blob = open(path, "rb").read()
+    header_end = 5 + struct.calcsize("<IdIIBddI")
+    open(old, "wb").write(b"MRHF1" + struct.pack("<I", 1) + blob[9:header_end] + blob[header_end + 32 :])
+    new, data = checkpoint_load(path), checkpoint_load(old)
+    assert data.system is None and len(new.system) == 32
+    assert np.array_equal(data.orbitals, new.orbitals) and np.array_equal(data.A_values, new.A_values)
+    assert (data.alpha, data.fermi_energy, data.iteration) == (new.alpha, new.fermi_energy, new.iteration)
+    # with no digest to compare, another molecule on the same cell is not rejected
+    data.initial_for(SystemSpec(spec.cell, (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.05))
+    # a version that does not match its magic is rejected
+    bad = os.path.join(tmp_path, "v12.ckpt")
+    open(bad, "wb").write(b"MRHF1" + blob[5:])
+    with pytest.raises(CheckpointError, match="version"):
+        checkpoint_load(bad)
+
 
 
 def test_warm_start_from_converged_checkpoint(tmp_path, small_state):
