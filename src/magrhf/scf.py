@@ -75,6 +75,8 @@ MAX_HALVINGS = 8
 EIG_MAXITER = 300
 #: lagged field solves per outer iteration (the ``A rho`` term of the field equation)
 A_INNER_ITERS = 2
+#: relative floor below which a field-equation source or a current counts as zero
+ZERO_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -376,25 +378,48 @@ def update_vector_potential(
     return MagneticPotential(VectorField(cell, cell.from_spectral(ahat).real), check_gauge=False)
 
 
+def _source_floor(rho: ScalarField) -> float:
+    """Field-equation source norm ``ZERO_FLOOR ||rho|| (2 pi / L)`` that counts as zero."""
+    return ZERO_FLOOR * rho.norm() * (2.0 * np.pi / rho.cell.L)
+
+
+def _snap_zero(A: MagneticPotential, rho: ScalarField, alpha: float) -> MagneticPotential:
+    """``A``, or an exact zero when no source at the floor could produce a larger one.
+
+    The field solve maps a source ``s`` to ``4 pi alpha^2 P_perp s / |k|^2``;
+    ``P_perp`` is a contraction and the kernel peaks at ``|k| = 2 pi / L``, so
+    a source at :func:`_source_floor` gives at most
+    ``||A|| = 4 pi alpha^2 floor / (2 pi / L)^2``.  The bound is relative to
+    ``||rho||`` and scales with ``alpha^2``, as a polarised state's ``A`` does.
+    Roundoff-level potentials then take the A = 0 Hamiltonian apply.
+    """
+    k_min = 2.0 * np.pi / A.cell.L
+    if A.A.norm() <= 4.0 * np.pi * alpha**2 * _source_floor(rho) / k_min**2:
+        return MagneticPotential.zero(A.cell)
+    return A
+
+
 def _field_equation_residual(
     j: VectorField, m: VectorField, rho: ScalarField, A: MagneticPotential, alpha: float
 ) -> float:
     """Relative transverse residual of the stationarity equation for A.
 
-    Source terms below the numerically-zero current scale (see
-    :func:`_continuity_residual`) count as an exactly satisfied
-    equation rather than a noise-over-noise ratio.
+    Source terms below :func:`_source_floor` count as an exactly
+    satisfied equation rather than a noise-over-noise ratio.  A zero
+    potential has no Laplacian term, so its residual needs no transform
+    of ``A``.
     """
     cell = j.cell
     shat = _field_source(j, m, rho, A)
     shat[:, 0, 0, 0] = 0.0
-    lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
-    lhs_norm = VectorField.from_spectral(cell, shat + lap).norm()
     src_norm = VectorField.from_spectral(cell, shat).norm()
-    lap_norm = VectorField.from_spectral(cell, lap).norm()
-    scale = src_norm + lap_norm
-    floor = 1e-6 * rho.norm() * (2.0 * np.pi / cell.L)
-    if scale <= floor:
+    if A.is_zero():
+        lhs_norm = scale = src_norm
+    else:
+        lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
+        lhs_norm = VectorField.from_spectral(cell, shat + lap).norm()
+        scale = src_norm + VectorField.from_spectral(cell, lap).norm()
+    if scale <= _source_floor(rho):
         return 0.0
     return lhs_norm / scale
 
@@ -407,14 +432,13 @@ def _continuity_residual(rho: ScalarField, j: VectorField, A: MagneticPotential)
     kills the curl and Laplacian terms and leaves exactly this
     combination).  Degenerate-shell states carry no current analytically
     but the eigensolver leaves roundoff-level remnants; below the floor
-    ``1e-6 ||rho||`` the current counts as zero instead of dividing
+    ``ZERO_FLOOR ||rho||`` the current counts as zero instead of dividing
     noise by noise.
     """
     cell = rho.cell
     phys = VectorField(cell, 0.5 * j.values + A.A.values * rho.values[None])
     norm = phys.norm()
-    floor = 1e-6 * rho.norm()
-    if norm <= floor:
+    if norm <= ZERO_FLOOR * rho.norm():
         return 0.0
     return divergence(phys).norm() / norm
 
@@ -532,7 +556,10 @@ def scf_solve(
     ``initial`` may carry a state ``(gamma, A)`` from a checkpoint or a
     previous solve to warm-start the iteration: its orbitals seed the
     eigensolver, its density (scaled to ``N``) the mean field and, unless
-    ``pin_A``, its potential the field.
+    ``pin_A``, its potential the field.  A potential the field solve
+    could not tell from zero (see :func:`_snap_zero`) is replaced by an
+    exact zero: the warm start, each field-solve output and each mixed
+    potential.
     Non-convergence returns the best state flagged ``"not_converged"``;
     an energy below the configured floor returns a state flagged
     ``"instability"`` instead of looping forever.
@@ -558,7 +585,7 @@ def scf_solve(
         if vals.sum() > 0:
             rho_in = ScalarField(cell, vals * spec.N / (vals.sum() * cell.dV))
         if not config.pin_A:
-            A_in = A0
+            A_in = _snap_zero(A0, rho_in, spec.alpha)
 
     mixer = _AndersonMixer(config.anderson_depth, config.mix) if config.anderson_depth else None
 
@@ -591,6 +618,7 @@ def scf_solve(
             A_out = A
             for _ in range(A_INNER_ITERS):
                 A_out = update_vector_potential(j, m, rho_out, A_out, spec)
+            A_out = _snap_zero(A_out, rho_out, spec.alpha)
         energy = total_energy(gamma, A, spec, V=V)
         return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
 
@@ -605,7 +633,8 @@ def scf_solve(
         if config.pin_A:
             return new_rho, MagneticPotential.zero(cell)
         a_vals = (1.0 - theta) * prev_A.A.values + theta * out_A.A.values
-        return new_rho, MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
+        new_A = MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
+        return new_rho, _snap_zero(new_A, new_rho, spec.alpha)
 
     energy_history: list[float] = []
     ledger: list[dict] = []

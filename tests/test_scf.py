@@ -235,6 +235,87 @@ def test_scf_builds_one_hamiltonian_per_eigensolve(monkeypatch):
     assert abs(state.residual_orbital - expected) <= 1e-10
 
 
+def _record_builds(monkeypatch) -> list[bool]:
+    """Patch ``scf.make_hamiltonian`` to record whether each build gets an exactly zero A."""
+    import magrhf.scf as scf
+
+    zero_a: list[bool] = []
+    original = scf.make_hamiltonian
+
+    def recorded(cell, v_eff, A):
+        zero_a.append(A.is_zero())
+        return original(cell, v_eff, A)
+
+    monkeypatch.setattr(scf, "make_hamiltonian", recorded)
+    return zero_a
+
+
+def _unpolarised_h() -> SystemSpec:
+    return SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.02)
+
+
+def test_scf_unpolarised_takes_zero_a_and_matches_pinned(monkeypatch):
+    # roundoff in j and m leaves a potential the field solve cannot tell
+    # from zero; it is snapped to an exact zero, so every build takes the
+    # A = 0 apply and the solve reproduces the decoupled (pinned) one
+    spec = _unpolarised_h()
+    pinned = scf_solve(spec, SCFConfig(tol=1e-7, pin_A=True, seed=0))
+    zero_a = _record_builds(monkeypatch)
+    state = scf_solve(spec, SCFConfig(tol=1e-7, seed=0))
+    assert state.converged and pinned.converged
+    assert zero_a and all(zero_a)
+    assert state.A.is_zero()
+    assert state.iteration == pinned.iteration
+    assert abs(state.energy.total - pinned.energy.total) <= 1e-12 * abs(pinned.energy.total)
+
+
+def test_scf_warm_start_snaps_roundoff_potential(monkeypatch):
+    # a checkpoint or an alpha-scan row may carry a roundoff-level A
+    spec = _unpolarised_h()
+    cfg = SCFConfig(tol=1e-7, seed=0)
+    cold = scf_solve(spec, cfg)
+    rng = np.random.default_rng(3)
+    noise = helmholtz_project(bandlimited_vector(spec.cell, rng), zero_mean=True)
+    noise = VectorField(spec.cell, noise.values * (1e-12 / noise.norm()))
+    zero_a = _record_builds(monkeypatch)
+    warm = scf_solve(spec, cfg, initial=(cold.gamma, MagneticPotential(noise)))
+    assert warm.converged
+    assert zero_a and all(zero_a)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_snap_zero_at_its_bound(scale):
+    from magrhf.scf import ZERO_FLOOR, _snap_zero
+
+    cell = Cell(8.0, 12)
+    alpha = 0.05
+    rng = np.random.default_rng(4)
+    rho_raw = bandlimited_scalar(cell, rng)
+    rho = ScalarField(cell, rho_raw.values - rho_raw.values.min())
+    # 4 pi alpha^2 floor / k_min^2 with floor = ZERO_FLOOR ||rho|| k_min, k_min = 2 pi / L
+    bound = 4.0 * np.pi * alpha**2 * ZERO_FLOOR * rho.norm() / (2.0 * np.pi / cell.L)
+    a = helmholtz_project(bandlimited_vector(cell, rng), zero_mean=True)
+    A = MagneticPotential(VectorField(cell, a.values * (scale * bound / a.norm())))
+    out = _snap_zero(A, rho, alpha)
+    if scale < 1.0:
+        assert out.is_zero()
+    else:
+        assert out is A
+
+
+def test_snap_zero_keeps_polarised_states_at_small_alpha():
+    # a polarised A scales with alpha^2, as the snap bound does, so no
+    # coupling is small enough for the rule to zero it
+    cell = Cell(8.0, 12)
+    ratios = []
+    for alpha in (0.2, 0.02, 2e-4):
+        spec = SystemSpec(cell, (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=alpha)
+        state = scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=4, seed=0))
+        assert not state.A.is_zero()
+        ratios.append(state.A.A.norm() / alpha**2)
+    assert_allclose(ratios, ratios[-1], rtol=1e-3)
+
+
 def test_scf_energy_history_nonincreasing(criterion6_periodic):
     _, state = criterion6_periodic
     hist = state.energy_history
