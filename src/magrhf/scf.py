@@ -15,9 +15,10 @@ and the potential, with optional Anderson acceleration on the density.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
-``div(j + A rho)``.  A step that raises the energy is retried with
-halved mixing a few times before being accepted, which keeps the
-accepted energy history non-increasing in practice.
+``div(j + A rho)``.  A step that raises the energy is retried from the
+same inputs with halved linear mixing, a few times and down to a floor
+on the fraction, before being accepted, which keeps the accepted energy
+history non-increasing in practice.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ __all__ = [
 
 #: retries with halved mixing before an energy-raising step is accepted
 MAX_HALVINGS = 8
+#: floor of the halved mixing fraction; retries stop once it is reached
+MIN_MIX = 1e-3
 #: LOBPCG iteration cap of each eigensolve
 EIG_MAXITER = 300
 #: lagged field solves per outer iteration (the ``A rho`` term of the field equation)
@@ -622,8 +625,9 @@ def scf_solve(
         energy = total_energy(gamma, A, spec, V=V)
         return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
 
-    def mix(prev_rho, prev_A, out_rho, out_A, theta):
-        if mixer is not None:
+    def mix(prev_rho, prev_A, out_rho, out_A, theta, *, linear=False):
+        # a retry is linear: the mixer would return the same step again
+        if mixer is not None and not linear:
             vals = mixer.push(prev_rho.values, out_rho.values)
             vals = np.maximum(vals, 0.0)
             vals *= spec.N / max(vals.sum() * cell.dV, 1e-300)
@@ -655,10 +659,16 @@ def scf_solve(
         if prev is not None:
             slack = max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
             halvings = 0
-            while cand.energy.total > energy_history[-1] + slack and halvings < MAX_HALVINGS:
+            while (
+                cand.energy.total > energy_history[-1] + slack
+                and halvings < MAX_HALVINGS
+                and theta > MIN_MIX
+            ):
                 halvings += 1
-                theta = max(theta / 2.0, 1e-3)
-                rho_in, A_in = mix(prev_inputs[0], prev_inputs[1], prev.rho_out, prev.A_out, theta)
+                theta = max(theta / 2.0, MIN_MIX)
+                rho_in, A_in = mix(
+                    prev_inputs[0], prev_inputs[1], prev.rho_out, prev.A_out, theta, linear=True
+                )
                 cand = evaluate(rho_in, A_in, X_warm)
             if cand.energy.total > energy_history[-1] + slack:
                 forced += 1

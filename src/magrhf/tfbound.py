@@ -181,35 +181,23 @@ def tf_minimize(
 ) -> TFMinimizeResult:
     """Minimise the radial functional over nonnegative densities.
 
-    The functional is convex with a unique minimiser.  The solver first
-    runs the damped pointwise solve of the stationarity condition
-    ``rho = [ (3/5) max(0, 1/r - phi_rho) ]^(3/2)`` (a projected
-    proximal step on the local term, cheap and globally stable), then
-    polishes with a metric-preconditioned projected gradient, the metric
-    being the inverse curvature of the local term.  ``tol`` bounds the
-    complementarity residual ``max |min(rho, grad)|``.
+    The functional is convex with a unique minimiser.  Starting from the
+    bare-potential profile ``(3 / (5 r))^(3/2)``, cut off at large r,
+    the solver takes metric-preconditioned projected gradient steps with
+    backtracking on the energy, the metric being the inverse curvature of
+    the local term.  It stops once the complementarity residual
+    ``max |min(rho, grad)|`` is at most ``tol`` or after ``max_iter``
+    steps.
     """
     grid = grid or RadialGrid()
     r = grid.r
-    # start from the bare-potential profile, truncated and integrable
     rho = TFDensity(grid, (3.0 / (5.0 * r)) ** 1.5 * np.exp(-r / 8.0))
-    theta = 0.5
-    it = 0
-    kkt = np.inf
-    for it in range(1, max_iter + 1):
-        phi = _coulomb_shells(grid, rho.values)
-        target = ((3.0 / 5.0) * np.maximum(0.0, 1.0 / r - phi)) ** 1.5
-        new_vals = (1.0 - theta) * rho.values + theta * target
-        move = float(np.max(np.abs(new_vals - rho.values) / (1.0 + np.abs(rho.values))))
-        rho = TFDensity(grid, new_vals)
-        if move < 1e-15:
-            break
-    g = _tf_gradient(rho)
-    kkt = float(np.max(np.abs(np.minimum(rho.values, g))))
     e = tf_energy(rho)
-    polish = 0
-    while kkt > tol and polish < max_iter:
-        polish += 1
+    g = _tf_gradient(rho)
+    kkt = kkt_residual(rho)
+    it = 0
+    while kkt > tol and it < max_iter:
+        it += 1
         # inverse curvature of the local (10/9) rho^(-1/3) term
         metric = 0.9 * np.maximum(rho.values, 1e-30) ** (1.0 / 3.0)
         step = 0.9
@@ -221,8 +209,8 @@ def tf_minimize(
             step *= 0.5
         rho, e = cand, e_cand
         g = _tf_gradient(rho)
-        kkt = float(np.max(np.abs(np.minimum(rho.values, g))))
-    return TFMinimizeResult(e, rho, kkt, it + polish, kkt <= tol)
+        kkt = kkt_residual(rho)
+    return TFMinimizeResult(e, rho, kkt, it, kkt <= tol)
 
 
 def penalised_f(

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .density import EnergyBreakdown
 from .fields import Cell, SpinorField, VectorField
@@ -55,6 +54,14 @@ SPINOR_CONJ = -1.0
 CROSS_SIGN = +1.0
 
 _NORM_C = 1.0 / math.pi  # normalisation c of Psi at lam = 1
+
+#: closed-form integrals of the family at lam = 1, ||Psi|| = 1, where
+#: |Psi|^2 = (1 + r^2)^(-2) / pi^2 and |B| = 12 (1 + r^2)^(-2):
+#: I1 = int |Psi|^2 / |x|, D1 = D(|Psi|^2, |Psi|^2) (its potential is
+#: (2 / pi) arctan(r) / r) and B2 = int |B|^2
+I1 = 2.0 / math.pi
+D1 = 1.0 / math.pi
+B2 = 18.0 * math.pi**2
 
 
 def spinor_along(w: np.ndarray) -> np.ndarray:
@@ -115,64 +122,14 @@ def b_values(points: np.ndarray, w: np.ndarray) -> np.ndarray:
     return pref[None] * ((r2 - 1.0)[None] * wv - 2.0 * wdotx[None] * x + 2.0 * wcx)
 
 
-def _radial_density(r: np.ndarray | float) -> np.ndarray | float:
-    """|Psi|^2 as a function of radius (lam = 1, normalised)."""
-    return _NORM_C**2 * (1.0 + np.asarray(r) ** 2) ** -2
-
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
-
-
-def _compute_base_integrals() -> tuple[float, float, float]:
-    """Radial quadrature of the cached integrals at lam = 1, ||Psi|| = 1.
-
-    I1 = int |Psi|^2 / |x|,  D1 = D(|Psi|^2, |Psi|^2),  B2 = int |B|^2.
-    """
-    i1, _ = quad(lambda r: 4.0 * math.pi * r * _radial_density(r), 0.0, np.inf, **_QUAD_OPTS)
-
-    def shell_charge(r: float) -> float:
-        q, _ = quad(lambda s: s * s * _radial_density(s), 0.0, r, **_QUAD_OPTS)
-        return q
-
-    d1, _ = quad(
-        lambda r: 2.0 * (4.0 * math.pi) ** 2 * r * _radial_density(r) * shell_charge(r),
-        0.0,
-        np.inf,
-        **_QUAD_OPTS,
-    )
-
-    # |B|^2 angular average by Gauss-Legendre in mu = cos(theta); the
-    # azimuthal direction is symmetric about w.
-    mu, wts = np.polynomial.legendre.leggauss(32)
-    w_axis = np.array([0.0, 0.0, 1.0])
-
-    def b2_radial(r: float) -> float:
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - mu**2))
-        pts = np.stack([r * sin_t, np.zeros_like(mu), r * mu])
-        b = b_values(pts, w_axis)
-        return float(np.sum(wts * np.sum(b * b, axis=0)) * 2.0 * math.pi * r * r)
-
-    b2, _ = quad(b2_radial, 0.0, np.inf, **_QUAD_OPTS)
-    return float(i1), float(d1), float(b2)
-
-
-_BASE_INTEGRALS: tuple[float, float, float] | None = None
-
-
-def _base_integrals() -> tuple[float, float, float]:
-    global _BASE_INTEGRALS
-    if _BASE_INTEGRALS is None:
-        _BASE_INTEGRALS = _compute_base_integrals()
-    return _BASE_INTEGRALS
-
-
 @dataclass(frozen=True)
 class ZeroModeFamily:
     """Loss-Yau pair with dilation ``lam`` and rank-1 amplitude ``epsilon``.
 
-    The cached integrals ``i1, d1, b2`` refer to ``lam = 1`` and
-    ``||Psi|| = 1``; the kinetic trace of the family is identically
-    zero.  Dilation transforms the state as
+    The integrals ``i1, d1, b2`` refer to ``lam = 1`` and ``||Psi|| = 1``
+    and default to the Loss-Yau closed forms ``I1, D1, B2``; other values
+    give a synthetic family.  The kinetic trace of the family is
+    identically zero.  Dilation transforms the state as
     ``gamma_lam(x, y) = lam^3 gamma(lam x, lam y)``,
     ``A_lam(x) = lam A(lam x)``, under which the trace is unchanged, the
     kinetic trace picks up ``lam^2`` and the attraction, Hartree and
@@ -182,9 +139,9 @@ class ZeroModeFamily:
     w: tuple[float, float, float]
     epsilon: float = 1.0
     lam: float = 1.0
-    i1: float = 0.0
-    d1: float = 0.0
-    b2: float = 0.0
+    i1: float = I1
+    d1: float = D1
+    b2: float = B2
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.epsilon <= 1.0):
@@ -199,7 +156,7 @@ class ZeroModeFamily:
 
     def kinetic_trace(self) -> float:
         """Pauli kinetic energy of the family: zero at every dilation."""
-        return self.lam**2 * 0.0
+        return 0.0
 
     def attraction_integral(self) -> float:
         """int rho / |x| for rho = eps |Psi_lam|^2."""
@@ -245,13 +202,11 @@ def unit_direction(w: np.ndarray | tuple[float, float, float]) -> tuple[float, f
 
 def loss_yau(w: np.ndarray | tuple[float, float, float]) -> ZeroModeFamily:
     """Construct the zero-mode family polarised along the unit vector ``w``."""
-    w = unit_direction(w)
-    i1, d1, b2 = _base_integrals()
-    return ZeroModeFamily(w=w, i1=i1, d1=d1, b2=b2)
+    return ZeroModeFamily(w=unit_direction(w))
 
 
 def dilate(fam: ZeroModeFamily, lam: float) -> ZeroModeFamily:
-    """Dilate the family; all cached integrals transform exactly."""
+    """Dilate the family; all its integrals transform exactly."""
     if lam <= 0.0:
         raise ValueError(f"dilation must be positive, got {lam}")
     return replace(fam, lam=fam.lam * lam)

@@ -242,3 +242,11 @@ def test_runners_look_up_patched_names(monkeypatch, tmp_path):
     assert cli.main(["zero-mode", "--config", cfg_path]) == 0
     assert cli.main(["tf-bound", "--config", cfg_path]) == 0
     assert calls == ["run", "grid_residual", "grid_residual", "run", "tf_minimize"]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the zero-mode integrals are closed forms, so no quadrature is loaded
+    code = "import sys, magrhf.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

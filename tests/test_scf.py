@@ -382,6 +382,32 @@ def test_scf_anderson_acceleration_agrees():
     assert abs(plain.energy.total - anderson.energy.total) < 1e-7 * abs(plain.energy.total)
 
 
+@pytest.mark.parametrize("depth", [0, 3])
+def test_scf_retries_evaluate_new_densities(monkeypatch, depth):
+    # a negative slack counts every step as an energy rise, so each outer
+    # iteration retries with halved mixing; no retry may re-evaluate the
+    # density it evaluated last (the Anderson mixer would return the same
+    # step, and a fraction at its floor cannot shrink)
+    import magrhf.scf as scf
+
+    seen: list[np.ndarray] = []
+    original = scf.hartree
+
+    def recorded(rho):
+        seen.append(rho.values.copy())
+        return original(rho)
+
+    monkeypatch.setattr(scf, "hartree", recorded)
+    cfg = SCFConfig(tol=1e-10, max_iter=3, seed=0, anderson_depth=depth, energy_slack_rel=-1.0)
+    scf_solve(_unpolarised_h(), cfg)
+    # each evaluation takes the Hartree potential of its input, then of its output
+    assert len(seen) % 2 == 0
+    inputs = seen[::2]
+    assert len(inputs) > cfg.max_iter
+    for a, b in zip(inputs, inputs[1:]):
+        assert np.linalg.norm(b - a) > 1e-12 * np.linalg.norm(a)
+
+
 # ------------------------------------------------------------------ alpha scan
 def test_scan_alpha_single_row_equals_scf():
     cell = Cell(8.0, 16)

@@ -82,6 +82,10 @@ def test_tf_minimize_converges_and_is_stable():
     assert res.energy < 0.0
     assert res.kkt <= 1e-7
     assert abs(kkt_residual(res.rho) - res.kkt) < 1e-12
+    # the projected gradient alone takes ~94 steps on the default grid
+    assert res.iterations <= 200
+    # regression value of I_TF on the default grid
+    assert abs(res.energy - (-2.1924723066335874)) <= 1e-12 * 2.1924723066335874
     fine = tf_minimize(GRID.refined(2), tol=1e-7)
     assert abs(fine.energy - res.energy) < 1e-4 * abs(res.energy)
 

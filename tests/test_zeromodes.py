@@ -47,22 +47,31 @@ def test_unnormalized_profile_and_constant(fam):
 
 
 def test_cached_integrals_match_radial_quadrature_closed_forms(fam):
-    # I1 = 2/pi, D1 = 1/pi (via the arctan potential), B2 = 18 pi^2
-    assert abs(fam.i1 - 2.0 / math.pi) < 1e-10
+    # the family carries the closed forms I1 = 2/pi, D1 = 1/pi (via the
+    # arctan potential) and B2 = 18 pi^2; radial quadrature of the
+    # normalised density (1 + r^2)^(-2) / pi^2 and of |b_values|^2 checks them
+    assert (fam.i1, fam.d1, fam.b2) == (2.0 / math.pi, 1.0 / math.pi, 18.0 * math.pi**2)
+    opts = dict(epsabs=1e-13, epsrel=1e-12)
+    i1_oracle, _ = quad(lambda r: 4 * math.pi * r * (1 + r * r) ** -2 / math.pi**2, 0.0, np.inf, **opts)
+    assert abs(fam.i1 - i1_oracle) < 1e-10
     d1_oracle, _ = quad(
         lambda r: 4 * math.pi * r * r * (1 + r * r) ** -2 / math.pi**2
         * (2.0 / math.pi) * np.arctan(r) / r,
-        0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+        0.0, np.inf, **opts,
     )
     assert abs(fam.d1 - d1_oracle) < 1e-10
-    assert abs(fam.d1 - 1.0 / math.pi) < 1e-10
-    # |B| = 12 (1+r^2)^(-2) makes the field energy 18 pi^2
-    b2_oracle, _ = quad(
-        lambda r: 4 * math.pi * r * r * 144.0 * (1 + r * r) ** -4, 0.0, np.inf,
-        epsabs=1e-13, epsrel=1e-12,
-    )
+    # angular average of |B|^2 by Gauss-Legendre in cos(theta), the
+    # field being symmetric about w
+    mu, wts = np.polynomial.legendre.leggauss(32)
+    w = np.array([0.0, 0.0, 1.0])
+
+    def b2_shell(r):
+        pts = np.stack([r * np.sqrt(1.0 - mu**2), np.zeros_like(mu), r * mu])
+        b = b_values(pts, w)
+        return 2.0 * math.pi * r * r * float(np.sum(wts * np.sum(b * b, axis=0)))
+
+    b2_oracle, _ = quad(b2_shell, 0.0, np.inf, **opts)
     assert abs(fam.b2 - b2_oracle) < 1e-8
-    assert abs(fam.b2 - 18.0 * math.pi**2) < 1e-8
 
 
 def test_spin_direction_validation():
