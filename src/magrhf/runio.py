@@ -104,7 +104,6 @@ class SCFSettings:
     eig_block: int | None = None
     eig_tol: float | None = None
     deg_threshold: float = 1e-6
-    anderson_depth: int = 0
     pin_A: bool = False
     s_nuc: float | None = None
     energy_floor: float = -1.0e4
@@ -305,7 +304,6 @@ class ResultRecord:
 
     def write(self, out_dir: str) -> list[str]:
         """Write the JSON record plus one CSV per table; returns the paths."""
-        os.makedirs(out_dir, exist_ok=True)
         paths = []
         record_path = os.path.join(out_dir, f"{self.subcommand}_record.json")
         _atomic_write(record_path, self.to_json())
@@ -331,6 +329,7 @@ def _csv_cell(v) -> str:
 
 def _atomic_write(path: str, data: str | bytes) -> None:
     d = os.path.dirname(path) or "."
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:

@@ -10,8 +10,8 @@ The fixed point solved here is
 with the Fermi level chosen so the occupations sum to the electron
 count.  The loop alternates a preconditioned block eigensolve, aufbau
 filling, a spectral solve of the linear field equation (with the
-``A rho`` term lagged and iterated), and linear mixing of the density
-and the potential, with optional Anderson acceleration on the density.
+``A rho`` term lagged and iterated), Anderson mixing of the density and
+linear mixing of the potential.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -72,6 +72,8 @@ __all__ = [
 
 #: retries with halved mixing before an energy-raising step is accepted
 MAX_HALVINGS = 8
+#: history depth of the Anderson density mixing
+ANDERSON_DEPTH = 5
 #: floor of the halved mixing fraction; retries stop once it is reached
 MIN_MIX = 1e-3
 #: LOBPCG iteration cap of each eigensolve
@@ -86,12 +88,11 @@ ZERO_FLOOR = 1e-6
 class SCFConfig:
     """Knobs of the fixed-point iteration.
 
-    ``mix`` is the linear mixing fraction in (0, 1] of both the density
-    and the vector potential;
-    ``deg_threshold`` groups levels into a degenerate Fermi shell;
-    ``anderson_depth`` > 0 turns on Anderson acceleration of the density
-    update with that history depth.  ``pin_A`` freezes the vector
-    potential at zero (the decoupled, non-magnetic limit).
+    ``mix`` in (0, 1] is the Anderson mixing fraction of the density and
+    the linear mixing fraction of the vector potential;
+    ``deg_threshold`` groups levels into a degenerate Fermi shell.
+    ``pin_A`` freezes the vector potential at zero (the decoupled,
+    non-magnetic limit).
     """
 
     max_iter: int = 80
@@ -101,7 +102,6 @@ class SCFConfig:
     eig_tol: float | None = None
     deg_threshold: float = 1e-6
     seed: int = 0
-    anderson_depth: int = 0
     pin_A: bool = False
     s_nuc: float | None = None
     energy_floor: float = -1.0e4
@@ -258,12 +258,8 @@ def eigensolve(
         S = np.concatenate(blocks, axis=0)
         HS = np.concatenate(h_blocks, axis=0)
         h_sub = _gram(cell, S, HS)
-        # S is orthonormal to roundoff; solve the small generalized
-        # problem anyway to absorb the leftover non-orthogonality.
-        T = _whiten(_gram(cell, S, S), 1e-10)
-        h_o = T.conj().T @ (0.5 * (h_sub + h_sub.conj().T)) @ T
-        evals, evecs = np.linalg.eigh(0.5 * (h_o + h_o.conj().T))
-        C = T @ evecs[:, :b]
+        _, evecs = np.linalg.eigh(0.5 * (h_sub + h_sub.conj().T))
+        C = evecs[:, :b]
         X_new = C.T @ S
         HX_new = C.T @ HS
 
@@ -500,35 +496,44 @@ def _initial_density(spec: SystemSpec, s_nuc: float) -> ScalarField:
 
 
 class _AndersonMixer:
-    """Anderson (DIIS-like) acceleration of the density fixed point."""
+    """Anderson (DIIS-like) mixing of the density fixed point ``rho -> rho_out``.
 
-    def __init__(self, depth: int, beta: float):
-        self.depth = depth
+    Each step extrapolates over the last ``ANDERSON_DEPTH`` differences of
+    inputs and residuals with the linear fraction ``beta``, clips the
+    result to ``rho >= 0`` and scales it back to ``N`` electrons.
+    """
+
+    def __init__(self, beta: float, N: float):
         self.beta = beta
+        self.N = N
         self.x_hist: list[np.ndarray] = []
         self.r_hist: list[np.ndarray] = []
 
-    def push(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        res = fx - x
-        self.x_hist.append(x.copy())
-        self.r_hist.append(res.copy())
-        if len(self.x_hist) > self.depth + 1:
+    def push(self, rho: ScalarField, rho_out: ScalarField) -> ScalarField:
+        x = rho.values
+        res = rho_out.values - x
+        self.x_hist.append(x)
+        self.r_hist.append(res)
+        if len(self.x_hist) > ANDERSON_DEPTH + 1:
             self.x_hist.pop(0)
             self.r_hist.pop(0)
         m = len(self.x_hist)
         if m == 1:
-            return x + self.beta * res
-        dR = np.stack([self.r_hist[i + 1] - self.r_hist[i] for i in range(m - 1)]).reshape(m - 1, -1)
-        dX = np.stack([self.x_hist[i + 1] - self.x_hist[i] for i in range(m - 1)]).reshape(m - 1, -1)
-        gram = dR @ dR.T
-        rhs = dR @ res.ravel()
-        try:
-            coef = np.linalg.solve(gram + 1e-12 * max(np.trace(gram), 1e-300) * np.eye(m - 1), rhs)
-        except np.linalg.LinAlgError:
-            coef = np.zeros(m - 1)
-        step = res.ravel() - dR.T @ coef
-        new = x.ravel() + self.beta * step - dX.T @ coef
-        return new.reshape(x.shape)
+            new = x + self.beta * res
+        else:
+            dR = np.stack([self.r_hist[i + 1] - self.r_hist[i] for i in range(m - 1)]).reshape(m - 1, -1)
+            dX = np.stack([self.x_hist[i + 1] - self.x_hist[i] for i in range(m - 1)]).reshape(m - 1, -1)
+            gram = dR @ dR.T
+            rhs = dR @ res.ravel()
+            try:
+                coef = np.linalg.solve(gram + 1e-12 * max(np.trace(gram), 1e-300) * np.eye(m - 1), rhs)
+            except np.linalg.LinAlgError:
+                coef = np.zeros(m - 1)
+            step = res.ravel() - dR.T @ coef
+            new = (x.ravel() + self.beta * step - dX.T @ coef).reshape(x.shape)
+        new = np.maximum(new, 0.0)
+        new *= self.N / max(new.sum() * rho.cell.dV, 1e-300)
+        return ScalarField(rho.cell, new)
 
 
 @dataclass
@@ -590,7 +595,7 @@ def scf_solve(
         if not config.pin_A:
             A_in = _snap_zero(A0, rho_in, spec.alpha)
 
-    mixer = _AndersonMixer(config.anderson_depth, config.mix) if config.anderson_depth else None
+    mixer = _AndersonMixer(config.mix, spec.N)
 
     # the eigensolver runs loose while the mean field is far from
     # self-consistent and tightens as the outer residual shrinks
@@ -625,20 +630,12 @@ def scf_solve(
         energy = total_energy(gamma, A, spec, V=V)
         return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
 
-    def mix(prev_rho, prev_A, out_rho, out_A, theta, *, linear=False):
-        # a retry is linear: the mixer would return the same step again
-        if mixer is not None and not linear:
-            vals = mixer.push(prev_rho.values, out_rho.values)
-            vals = np.maximum(vals, 0.0)
-            vals *= spec.N / max(vals.sum() * cell.dV, 1e-300)
-        else:
-            vals = (1.0 - theta) * prev_rho.values + theta * out_rho.values
-        new_rho = ScalarField(cell, vals)
+    def mix_A(prev_A, out_A, theta, rho):
         if config.pin_A:
-            return new_rho, MagneticPotential.zero(cell)
+            return MagneticPotential.zero(cell)
         a_vals = (1.0 - theta) * prev_A.A.values + theta * out_A.A.values
         new_A = MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
-        return new_rho, _snap_zero(new_A, new_rho, spec.alpha)
+        return _snap_zero(new_A, rho, spec.alpha)
 
     energy_history: list[float] = []
     ledger: list[dict] = []
@@ -666,9 +663,9 @@ def scf_solve(
             ):
                 halvings += 1
                 theta = max(theta / 2.0, MIN_MIX)
-                rho_in, A_in = mix(
-                    prev_inputs[0], prev_inputs[1], prev.rho_out, prev.A_out, theta, linear=True
-                )
+                # a retry is linear: the mixer would return the same step again
+                rho_in = ScalarField(cell, (1.0 - theta) * prev_inputs[0].values + theta * prev.rho_out.values)
+                A_in = mix_A(prev_inputs[1], prev.A_out, theta, rho_in)
                 cand = evaluate(rho_in, A_in, X_warm)
             if cand.energy.total > energy_history[-1] + slack:
                 forced += 1
@@ -712,7 +709,8 @@ def scf_solve(
 
         prev = cand
         prev_inputs = (rho_in, A_in)
-        rho_in, A_in = mix(rho_in, A_in, cand.rho_out, cand.A_out, theta)
+        rho_in = mixer.push(rho_in, cand.rho_out)
+        A_in = mix_A(A_in, cand.A_out, theta, rho_in)
         X_warm = cand.orbitals
 
     state.flag = state.flag or "not_converged"

@@ -3,9 +3,9 @@
 A deliberately separate assembly of the decoupled problem: scalar
 orbitals of ``-lap/2 + V + rho * coulomb`` with spin handled as a
 capacity-2 occupation per spatial level, and the energy summed directly
-from its integrals.  It shares only the low-level spectral primitives
-with the spinor machinery, which makes it a useful cross-check of the
-full path in the ``A -> 0`` limit.
+from its integrals.  It shares only the low-level spectral primitives,
+the eigensolver and the density mixer with the spinor machinery, which
+makes it a useful cross-check of the full path in the ``A -> 0`` limit.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 
 from .fields import Cell, ScalarField
 from .hamiltonian import SystemSpec, external_potential, hartree
-from .scf import eigensolve
+from .scf import _AndersonMixer, eigensolve
 
 __all__ = ["SpinlessResult", "scf_solve_spinless"]
 
-#: outer-iteration cap, linear density mixing fraction and LOBPCG
+#: outer-iteration cap, Anderson density mixing fraction and LOBPCG
 #: iteration cap of the oracle's fixed point
 MAX_ITER = 120
 MIX = 0.6
@@ -105,6 +105,7 @@ def scf_solve_spinless(
     vals *= spec.N / (vals.sum() * cell.dV)
     rho = ScalarField(cell, vals)
 
+    mixer = _AndersonMixer(MIX, spec.N)
     X_warm = None
     converged = False
     res_orb = np.inf
@@ -138,7 +139,7 @@ def scf_solve_spinless(
             rho = rho_out_field
             converged = True
             break
-        rho = ScalarField(cell, (1.0 - MIX) * rho.values + MIX * rho_out)
+        rho = mixer.push(rho, rho_out_field)
         X_warm = orbitals
 
     # direct energy assembly from the integrals

@@ -59,6 +59,15 @@ def test_scf_subcommand_and_checkpoint(tmp_path):
     assert record2["results"]["iterations"] <= 2
 
 
+def test_checkpoint_into_missing_directory(tmp_path):
+    # the checkpoint's directory is created like the record's, after the solve
+    ckpt = os.path.join(tmp_path, "new", "state.ckpt")
+    proc, record, _ = _run("scf", BASE, tmp_path, extra=("--checkpoint", ckpt))
+    assert proc.returncode == 0, proc.stderr
+    assert record is not None
+    assert checkpoint_load(ckpt).alpha == BASE["system"]["alpha"]
+
+
 def test_scf_validation_error_exit_code(tmp_path):
     bad = json.loads(json.dumps(BASE))
     bad["system"]["alpha"] = -1.0

@@ -44,8 +44,9 @@ def test_unknown_key_is_named():
         parse_config('{"system": {"nuclei": [{"charge": 1.0}]}}')
     with pytest.raises(ConfigError, match="unknown key 'scan.epsilon_points'"):
         parse_config('{"scan": {"epsilon_points": 100001}}')
-    # one mixing fraction; the eigensolver cap and the lagged field solves are constants
-    for key in ("mix_rho", "mix_A", "eig_maxiter", "a_inner_iters"):
+    # one mixing fraction; the eigensolver cap, the lagged field solves and the
+    # Anderson depth are constants
+    for key in ("mix_rho", "mix_A", "eig_maxiter", "a_inner_iters", "anderson_depth"):
         with pytest.raises(ConfigError, match=f"unknown key 'scf.{key}'"):
             parse_config(json.dumps({"scf": {key: 1}}))
 
