@@ -379,11 +379,13 @@ def test_scf_instability_floor_flag():
     assert not state.converged
 
 
-def test_scf_retries_evaluate_new_densities(monkeypatch):
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scf_retries_evaluate_new_densities(monkeypatch, seed):
     # a negative slack counts every step as an energy rise, so each outer
     # iteration retries with halved mixing; no retry may re-evaluate the
     # density it evaluated last (the Anderson mixer would return the same
-    # step, and a fraction at its floor cannot shrink)
+    # step, and a fraction at its floor cannot shrink); two random starts
+    # give two different retry trajectories
     import magrhf.scf as scf
 
     seen: list[np.ndarray] = []
@@ -394,7 +396,7 @@ def test_scf_retries_evaluate_new_densities(monkeypatch):
         return original(rho)
 
     monkeypatch.setattr(scf, "hartree", recorded)
-    cfg = SCFConfig(tol=1e-10, max_iter=3, seed=0, energy_slack_rel=-1.0)
+    cfg = SCFConfig(tol=1e-10, max_iter=3, seed=seed, energy_slack_rel=-1.0)
     scf_solve(_unpolarised_h(), cfg)
     # each evaluation takes the Hartree potential of its input, then of its output
     assert len(seen) % 2 == 0
