@@ -538,19 +538,24 @@ class _AndersonMixer:
 
 @dataclass
 class _Iterate:
-    """Everything produced by one evaluation of the SCF map."""
+    """One evaluation of the SCF map at the inputs ``(rho, A)``.
 
+    It holds everything the loop and the returned state read of an
+    iterate: its outputs, its energy, its residual triple at its own mean
+    field and its inequality audit.
+    """
+
+    rho: ScalarField
+    A: MagneticPotential
     gamma: DensityMatrix
     orbitals: np.ndarray
     levels: np.ndarray
-    occ: np.ndarray
     fermi: float
     rho_out: ScalarField
-    j: VectorField
-    m: VectorField
     A_out: MagneticPotential
     energy: EnergyBreakdown
-    residual_orbital: float
+    residuals: tuple[float, float, float]
+    audit: dict
 
 
 def scf_solve(
@@ -618,17 +623,23 @@ def scf_solve(
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
         h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals
         res_orb = _orbital_residual(cell, orbitals, h_orbitals, occ)
+        del h_orbitals  # the H X block is as large as the orbitals; free it before the field solve
         j = current(gamma)
         m = magnetisation(gamma)
         if config.pin_A:
-            A_out = MagneticPotential.zero(cell)
+            A_out, res_field = MagneticPotential.zero(cell), 0.0
         else:
             A_out = A
             for _ in range(A_INNER_ITERS):
                 A_out = update_vector_potential(j, m, rho_out, A_out, spec)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
-        energy = total_energy(gamma, A, spec, V=V)
-        return _Iterate(gamma, orbitals, levels, occ, fermi, rho_out, j, m, A_out, energy, res_orb)
+            res_field = _field_equation_residual(j, m, rho_out, A, spec.alpha)
+        return _Iterate(
+            rho, A, gamma, orbitals, levels, fermi, rho_out, A_out,
+            energy=total_energy(gamma, A, spec, V=V),
+            residuals=(res_orb, res_field, _continuity_residual(rho_out, j, A)),
+            audit=kinetic_inequality_report(gamma, A),
+        )
 
     def mix_A(prev_A, out_A, theta, rho):
         if config.pin_A:
@@ -640,81 +651,65 @@ def scf_solve(
     energy_history: list[float] = []
     ledger: list[dict] = []
     forced = 0
-    state: SCFState | None = None
-    prev: _Iterate | None = None
-    prev_inputs: tuple[ScalarField, MagneticPotential] | None = None
+    last: _Iterate | None = None  # the last accepted iterate
     theta = config.mix
 
-    for it in range(1, config.max_iter + 1):
-        try:
-            cand = evaluate(rho_in, A_in, X_warm)
-        except EigensolveError:
-            if state is None:
-                raise
-            state.flag = "eigensolver_failed"
-            return state
-        if prev is not None:
-            slack = max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
-            halvings = 0
-            while (
-                cand.energy.total > energy_history[-1] + slack
-                and halvings < MAX_HALVINGS
-                and theta > MIN_MIX
-            ):
-                halvings += 1
-                theta = max(theta / 2.0, MIN_MIX)
-                # a retry is linear: the mixer would return the same step again
-                rho_in = ScalarField(cell, (1.0 - theta) * prev_inputs[0].values + theta * prev.rho_out.values)
-                A_in = mix_A(prev_inputs[1], prev.A_out, theta, rho_in)
-                cand = evaluate(rho_in, A_in, X_warm)
-            if cand.energy.total > energy_history[-1] + slack:
-                forced += 1
-
-        # residual triple at the iterate's own mean field
-        res_orb = cand.residual_orbital
-        res_field = (
-            0.0
-            if config.pin_A
-            else _field_equation_residual(cand.j, cand.m, cand.rho_out, A_in, spec.alpha)
-        )
-        res_cont = _continuity_residual(cand.rho_out, cand.j, A_in)
-
-        energy_history.append(cand.energy.total)
-        ledger.append({**kinetic_inequality_report(cand.gamma, A_in), "iteration": it})
-
-        state = SCFState(
+    def finish(it: _Iterate, flag: str | None, converged: bool = False) -> SCFState:
+        return SCFState(
             spec=spec,
-            gamma=cand.gamma,
-            A=A_in,
-            energy=cand.energy,
-            levels=cand.levels,
-            fermi_energy=cand.fermi,
-            iteration=it,
-            residual_orbital=res_orb,
-            residual_field=res_field,
-            residual_continuity=res_cont,
-            converged=False,
-            flag=regime_flag,
+            gamma=it.gamma,
+            A=it.A,
+            energy=it.energy,
+            levels=it.levels,
+            fermi_energy=it.fermi,
+            iteration=len(energy_history),
+            residual_orbital=it.residuals[0],
+            residual_field=it.residuals[1],
+            residual_continuity=it.residuals[2],
+            converged=converged,
+            flag=flag,
             energy_history=tuple(energy_history),
             inequality_ledger=tuple(ledger),
             forced_energy_increases=forced,
         )
-        if cand.energy.total < config.energy_floor:
-            state.flag = "instability"
-            return state
-        if max(res_orb, res_field, res_cont) <= config.tol and eig_tol_eff <= eig_tol:
-            state.converged = True
-            return state
-        eig_tol_eff = float(np.clip(0.03 * max(res_orb, res_field), eig_tol, 1e-5))
 
-        prev = cand
-        prev_inputs = (rho_in, A_in)
-        rho_in = mixer.push(rho_in, cand.rho_out)
-        A_in = mix_A(A_in, cand.A_out, theta, rho_in)
+    for it in range(1, config.max_iter + 1):
+        try:
+            cand = evaluate(rho_in, A_in, X_warm)
+            if last is not None:
+                slack = max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
+                halvings = 0
+                while (
+                    cand.energy.total > energy_history[-1] + slack
+                    and halvings < MAX_HALVINGS
+                    and theta > MIN_MIX
+                ):
+                    halvings += 1
+                    theta = max(theta / 2.0, MIN_MIX)
+                    # a retry is linear: the mixer would return the same step again
+                    rho = ScalarField(cell, (1.0 - theta) * last.rho.values + theta * last.rho_out.values)
+                    cand = evaluate(rho, mix_A(last.A, last.A_out, theta, rho), X_warm)
+                if cand.energy.total > energy_history[-1] + slack:
+                    forced += 1
+        except EigensolveError:
+            if last is None:
+                raise
+            return finish(last, "eigensolver_failed")
+
+        last = cand
+        energy_history.append(cand.energy.total)
+        ledger.append({**cand.audit, "iteration": it})
+        if cand.energy.total < config.energy_floor:
+            return finish(cand, "instability")
+        if max(cand.residuals) <= config.tol and eig_tol_eff <= eig_tol:
+            return finish(cand, regime_flag, converged=True)
+        eig_tol_eff = float(np.clip(0.03 * max(cand.residuals[:2]), eig_tol, 1e-5))
+
+        rho_in = mixer.push(cand.rho, cand.rho_out)
+        A_in = mix_A(cand.A, cand.A_out, theta, rho_in)
         X_warm = cand.orbitals
 
-    state.flag = state.flag or "not_converged"
-    return state
+    return finish(last, regime_flag or "not_converged")
 
 
 @dataclass(frozen=True)
