@@ -187,6 +187,9 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.scf_config().check_block(self.system.N)
+
     def system_spec(self, mode: str | None = None) -> SystemSpec:
         sysc = self.system
         try:

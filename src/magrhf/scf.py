@@ -16,9 +16,10 @@ Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
 ``div(j + A rho)``.  A step that raises the energy is retried from the
-same inputs with halved linear mixing, a few times and down to a floor
-on the fraction, before being accepted, which keeps the accepted energy
-history non-increasing in practice.
+same inputs with linear mixing at half the fraction, halving again down
+to a floor before it is accepted; every outer iteration starts again
+from the configured fraction.  This keeps the accepted energy history
+non-increasing in practice.
 """
 
 from __future__ import annotations
@@ -70,11 +71,9 @@ __all__ = [
 ]
 
 
-#: retries with halved mixing before an energy-raising step is accepted
-MAX_HALVINGS = 8
 #: history depth of the Anderson density mixing
 ANDERSON_DEPTH = 5
-#: floor of the halved mixing fraction; retries stop once it is reached
+#: floor of the halved mixing fraction; an outer iteration's retries stop once it is reached
 MIN_MIX = 1e-3
 #: LOBPCG iteration cap of each eigensolve
 EIG_MAXITER = 300
@@ -90,7 +89,8 @@ class SCFConfig:
 
     ``mix`` in (0, 1] is the Anderson mixing fraction of the density and
     the linear mixing fraction of the vector potential;
-    ``deg_threshold`` groups levels into a degenerate Fermi shell.
+    ``deg_threshold`` >= 0 groups levels into a degenerate Fermi shell;
+    ``eig_block`` must hold the occupied levels (:meth:`check_block`).
     ``pin_A`` freezes the vector potential at zero (the decoupled,
     non-magnetic limit).
     """
@@ -108,12 +108,24 @@ class SCFConfig:
     energy_slack_rel: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mix <= 1.0:
-            raise ValueError("the mixing fraction must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for ok, message in (
+            (0.0 < self.mix <= 1.0, "the mixing fraction must lie in (0, 1]"),
+            (self.tol > 0, "tolerance must be positive"),
+            (self.max_iter >= 1, "max_iter must be at least 1"),
+            (self.deg_threshold >= 0, "deg_threshold must be non-negative"),
+            (self.eig_block is None or self.eig_block >= 1, "eig_block must be at least 1"),
+            (self.eig_tol is None or self.eig_tol > 0, "eig_tol must be positive"),
+            (self.s_nuc is None or self.s_nuc >= 0, "s_nuc must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(message)
+
+    def check_block(self, N: float) -> int:
+        """The number ``ceil(N)`` of occupied levels; ``ValueError`` if ``eig_block`` is smaller."""
+        n_occ = int(math.ceil(N - 1e-12))
+        if self.eig_block is not None and self.eig_block < n_occ:
+            raise ValueError(f"eig_block={self.eig_block} cannot hold the {n_occ} occupied levels of N={N}")
+        return n_occ
 
 
 class EigensolveError(RuntimeError):
@@ -538,12 +550,8 @@ class _AndersonMixer:
 
 @dataclass
 class _Iterate:
-    """One evaluation of the SCF map at the inputs ``(rho, A)``.
-
-    It holds everything the loop and the returned state read of an
-    iterate: its outputs, its energy, its residual triple at its own mean
-    field and its inequality audit.
-    """
+    """One evaluation of the SCF map at its inputs ``(rho, A)``: all that the
+    loop and the returned state read of an iterate."""
 
     rho: ScalarField
     A: MagneticPotential
@@ -573,9 +581,13 @@ def scf_solve(
     could not tell from zero (see :func:`_snap_zero`) is replaced by an
     exact zero: the warm start, each field-solve output and each mixed
     potential.
-    Non-convergence returns the best state flagged ``"not_converged"``;
-    an energy below the configured floor returns a state flagged
-    ``"instability"`` instead of looping forever.
+    Only the accepted iterate of an outer iteration, not its retries,
+    enters the iteration count, the energy history and the ledger.
+    Non-convergence returns the last state flagged ``"not_converged"``;
+    an energy below the configured floor returns it flagged
+    ``"instability"``, and an eigensolver failure the last accepted one
+    flagged ``"eigensolver_failed"`` (a failure of the first iterate
+    raises :class:`EigensolveError`).
     """
     config = config or SCFConfig()
     cell = spec.cell
@@ -583,7 +595,7 @@ def scf_solve(
     V = external_potential(spec, s_nuc=s_nuc)
     regime_flag = "negative_ion_regime" if (spec.mode == "molecular" and spec.N > spec.Z + 1e-12) else None
 
-    n_occ = int(math.ceil(spec.N - 1e-12))
+    n_occ = config.check_block(spec.N)
     block = config.eig_block or (n_occ + 3)
     count = min(n_occ + 2, block)
     eig_tol = config.eig_tol if config.eig_tol is not None else min(1e-9, 0.1 * config.tol)
@@ -652,45 +664,26 @@ def scf_solve(
     ledger: list[dict] = []
     forced = 0
     last: _Iterate | None = None  # the last accepted iterate
-    theta = config.mix
 
     def finish(it: _Iterate, flag: str | None, converged: bool = False) -> SCFState:
         return SCFState(
-            spec=spec,
-            gamma=it.gamma,
-            A=it.A,
-            energy=it.energy,
-            levels=it.levels,
-            fermi_energy=it.fermi,
-            iteration=len(energy_history),
-            residual_orbital=it.residuals[0],
-            residual_field=it.residuals[1],
-            residual_continuity=it.residuals[2],
-            converged=converged,
-            flag=flag,
-            energy_history=tuple(energy_history),
-            inequality_ledger=tuple(ledger),
-            forced_energy_increases=forced,
+            spec, it.gamma, it.A, it.energy, it.levels, it.fermi, len(energy_history), *it.residuals,
+            converged=converged, flag=flag, energy_history=tuple(energy_history),
+            inequality_ledger=tuple(ledger), forced_energy_increases=forced,
         )
 
     for it in range(1, config.max_iter + 1):
         try:
             cand = evaluate(rho_in, A_in, X_warm)
             if last is not None:
-                slack = max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
-                halvings = 0
-                while (
-                    cand.energy.total > energy_history[-1] + slack
-                    and halvings < MAX_HALVINGS
-                    and theta > MIN_MIX
-                ):
-                    halvings += 1
+                ceiling = energy_history[-1] + max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
+                theta = config.mix
+                while cand.energy.total > ceiling and theta > MIN_MIX:
                     theta = max(theta / 2.0, MIN_MIX)
                     # a retry is linear: the mixer would return the same step again
                     rho = ScalarField(cell, (1.0 - theta) * last.rho.values + theta * last.rho_out.values)
                     cand = evaluate(rho, mix_A(last.A, last.A_out, theta, rho), X_warm)
-                if cand.energy.total > energy_history[-1] + slack:
-                    forced += 1
+                forced += int(cand.energy.total > ceiling)
         except EigensolveError:
             if last is None:
                 raise
@@ -706,7 +699,7 @@ def scf_solve(
         eig_tol_eff = float(np.clip(0.03 * max(cand.residuals[:2]), eig_tol, 1e-5))
 
         rho_in = mixer.push(cand.rho, cand.rho_out)
-        A_in = mix_A(cand.A, cand.A_out, theta, rho_in)
+        A_in = mix_A(cand.A, cand.A_out, config.mix, rho_in)
         X_warm = cand.orbitals
 
     return finish(last, regime_flag or "not_converged")

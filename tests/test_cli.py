@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,34 @@ def test_exit_code_two_when_flagged(tmp_path):
     assert record["run"]["converged"] is False
 
 
+def test_eigensolver_failure_after_first_iterate_is_flagged(monkeypatch, tmp_path):
+    # every step counts as an energy rise and the eigensolver fails on the
+    # first retry of iteration 2: the run ends flagged, not in a traceback
+    import magrhf.scf as scf
+
+    calls: list[int] = []
+    original_eigensolve, original_solve = scf.eigensolve, cli.scf_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise scf.EigensolveError("forced", np.zeros(0), np.zeros(0))
+        return original_eigensolve(*args, **kwargs)
+
+    def solve(spec, config, **kwargs):
+        return original_solve(spec, replace(config, energy_slack_rel=-1.0), **kwargs)
+
+    monkeypatch.setattr(scf, "eigensolve", failing)
+    monkeypatch.setattr(cli, "scf_solve", solve)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(BASE, fh)
+    assert cli.main(["scf", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    record = json.load(open(os.path.join(tmp_path, "scf_record.json")))
+    assert record["run"]["flags"] == ["eigensolver_failed"]
+    assert record["results"]["iterations"] == 1
+
+
 def test_seed_override_recorded(tmp_path):
     proc, record, _ = _run("beta-bound", BASE, tmp_path, extra=("--seed", "42"))
     assert proc.returncode == 0
@@ -195,6 +224,11 @@ def test_alpha_scan_requires_alphas(tmp_path):
         ("tf-bound", {"constants": {"C_sobolev": -2.0}}, "C_sobolev must be positive"),
         ("zero-mode", {"zero_mode": {"dilation": 0.0}}, "dilation must be positive"),
         ("check-inequalities", {"zero_mode": {"box_ns": []}}, "box_ns must not be empty"),
+        ("scf", {"system": BASE["system"], "scf": {"deg_threshold": -1.0}}, "deg_threshold must be non-negative"),
+        ("scf", {"system": BASE["system"], "scf": {"eig_block": 0}}, "eig_block must be at least 1"),
+        ("scf", {"system": dict(BASE["system"], N=3.0), "scf": {"eig_block": 1}}, "eig_block=1 cannot hold"),
+        ("scf", {"system": BASE["system"], "scf": {"eig_tol": 0.0}}, "eig_tol must be positive"),
+        ("scf", {"system": BASE["system"], "scf": {"s_nuc": -0.5}}, "s_nuc must be non-negative"),
     ],
 )
 def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, message):

@@ -1,6 +1,8 @@
 """Eigensolver, aufbau filling, the field-equation solve and the outer
 self-consistent loop."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import bandlimited_scalar, bandlimited_vector
@@ -382,28 +384,92 @@ def test_scf_instability_floor_flag():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_scf_retries_evaluate_new_densities(monkeypatch, seed):
     # a negative slack counts every step as an energy rise, so each outer
-    # iteration retries with halved mixing; no retry may re-evaluate the
-    # density it evaluated last (the Anderson mixer would return the same
-    # step, and a fraction at its floor cannot shrink); two random starts
-    # give two different retry trajectories
+    # iteration retries with halved mixing down to the floor; each outer
+    # iteration halves from the configured fraction again, so every one
+    # after the first evaluates the same number of candidates; no retry may
+    # re-evaluate the density it evaluated last (the Anderson mixer would
+    # return the same step, and a fraction at its floor cannot shrink); two
+    # random starts give two different retry trajectories
     import magrhf.scf as scf
 
     seen: list[np.ndarray] = []
-    original = scf.hartree
+    warm_starts: list = []
+    original_hartree, original_eigensolve = scf.hartree, scf.eigensolve
 
-    def recorded(rho):
+    def recorded_hartree(rho):
         seen.append(rho.values.copy())
-        return original(rho)
+        return original_hartree(rho)
 
-    monkeypatch.setattr(scf, "hartree", recorded)
+    def recorded_eigensolve(*args, X0=None, **kwargs):
+        warm_starts.append(X0)
+        return original_eigensolve(*args, X0=X0, **kwargs)
+
+    monkeypatch.setattr(scf, "hartree", recorded_hartree)
+    monkeypatch.setattr(scf, "eigensolve", recorded_eigensolve)
     cfg = SCFConfig(tol=1e-10, max_iter=3, seed=seed, energy_slack_rel=-1.0)
-    scf_solve(_unpolarised_h(), cfg)
+    state = scf_solve(_unpolarised_h(), cfg)
     # each evaluation takes the Hartree potential of its input, then of its output
-    assert len(seen) % 2 == 0
+    assert len(seen) == 2 * len(warm_starts)
     inputs = seen[::2]
-    assert len(inputs) > cfg.max_iter
     for a, b in zip(inputs, inputs[1:]):
         assert np.linalg.norm(b - a) > 1e-12 * np.linalg.norm(a)
+    # the candidates of one outer iteration share its warm start
+    per_iteration = [1]
+    for a, b in zip(warm_starts, warm_starts[1:]):
+        if b is a:
+            per_iteration[-1] += 1
+        else:
+            per_iteration.append(1)
+    retries = math.ceil(math.log2(cfg.mix / scf.MIN_MIX))
+    assert per_iteration == [1] + [1 + retries] * (cfg.max_iter - 1)
+    # the state records the accepted iterates only
+    assert state.iteration == cfg.max_iter
+    assert len(state.energy_history) == cfg.max_iter
+    assert [row["iteration"] for row in state.inequality_ledger] == [1, 2, 3]
+    assert state.forced_energy_increases == cfg.max_iter - 1
+
+
+def _fail_eigensolve_on(monkeypatch, call: int) -> None:
+    """Patch ``scf.eigensolve`` to raise :class:`EigensolveError` on its ``call``-th call."""
+    import magrhf.scf as scf
+
+    calls: list[int] = []
+    original = scf.eigensolve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise EigensolveError("forced", np.zeros(0), np.zeros(0))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scf, "eigensolve", failing)
+
+
+@pytest.mark.parametrize("call, slack", [(2, 1e-10), (3, -1.0)], ids=["first-candidate", "first-retry"])
+def test_scf_eigensolver_failure_returns_last_accepted_state(monkeypatch, call, slack):
+    # iteration 2 fails on its first candidate or, with every step counted
+    # as an energy rise, on its first retry: iteration 1 comes back flagged
+    _fail_eigensolve_on(monkeypatch, call)
+    state = scf_solve(_unpolarised_h(), SCFConfig(tol=1e-10, seed=0, energy_slack_rel=slack))
+    assert state.flag == "eigensolver_failed" and not state.converged
+    assert state.iteration == 1
+    assert state.energy_history == (state.energy.total,)
+    assert [row["iteration"] for row in state.inequality_ledger] == [1]
+
+
+def test_scf_eigensolver_failure_on_first_iterate_raises(monkeypatch):
+    # with no accepted iterate there is no state to return
+    _fail_eigensolve_on(monkeypatch, 1)
+    with pytest.raises(EigensolveError, match="forced"):
+        scf_solve(_unpolarised_h(), SCFConfig(seed=0))
+
+
+def test_scf_solve_rejects_block_below_occupied_levels():
+    # three electrons need three levels in the eigensolver's block
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=3.0, alpha=0.02)
+    with pytest.raises(ValueError, match="eig_block=2 cannot hold"):
+        scf_solve(spec, SCFConfig(eig_block=2, seed=0))
+    SCFConfig(eig_block=3).check_block(spec.N)
 
 
 # ------------------------------------------------------------------ alpha scan
