@@ -469,7 +469,7 @@ def test_scf_solve_rejects_block_below_occupied_levels():
     spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=3.0, alpha=0.02)
     with pytest.raises(ValueError, match="eig_block=2 cannot hold"):
         scf_solve(spec, SCFConfig(eig_block=2, seed=0))
-    SCFConfig(eig_block=3).check_block(spec.N)
+    assert SCFConfig(eig_block=3).check_block(spec.N) == 3
 
 
 # ------------------------------------------------------------------ alpha scan
