@@ -14,8 +14,9 @@ and on the sampled zero mode.
 
 Exit status: 0 when every residual in the record is below its
 configured tolerance, 2 for a flagged (non-converged or violating) run,
-1 for configuration or usage errors.  The environment variable
-``MAGRHF_THREADS`` caps the FFT worker pool.
+1 for configuration or usage errors, and 3 when the eigensolver fails on
+the first SCF iterate (there is no state, so no record is written).  The
+environment variable ``MAGRHF_THREADS`` caps the FFT worker pool.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .runio import (
     parse_config,
     tagged,
 )
-from .scf import concavity_defects, scan_alpha, scf_solve
+from .scf import EigensolveError, concavity_defects, scan_alpha, scf_solve
 from .tfbound import RadialGrid, beta_lower_bound_chain, tf_minimize
 from .zeromodes import (
     alpha_c_from_beta,
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except EigensolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     out_dir = args.out or cfg.output.out_dir
     paths = record.write(out_dir)

@@ -81,6 +81,10 @@ EIG_MAXITER = 300
 A_INNER_ITERS = 2
 #: relative floor below which a field-equation source or a current counts as zero
 ZERO_FLOOR = 1e-6
+#: eigensolver tolerance of an SCF's first outer iteration, and the loosest it is ever given
+EIG_TOL_START = 1e-5
+#: fraction of the outer residual that the eigensolver tolerance follows once it tightens
+EIG_TOL_FRACTION = 0.03
 
 
 @dataclass(frozen=True)
@@ -152,13 +156,20 @@ def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", f, f) * cell.dV)
 
 
-def _subtract_lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray) -> None:
-    """``Y -= C^T X`` in place, as one ``zgemm`` on the transposed views.
+def _add_lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray, alpha: float = 1.0) -> None:
+    """``Y += alpha C^T X`` in place, as one ``zgemm`` on the transposed views.
 
     ``Y`` must be C-ordered so that ``Y.T`` is the Fortran-ordered
     array BLAS overwrites.
     """
-    zgemm(-1.0, X.T, C, beta=1.0, c=Y.T, overwrite_c=1)
+    zgemm(alpha, X.T, C, beta=1.0, c=Y.T, overwrite_c=1)
+
+
+def _lincomb(C: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """A new C-ordered block ``C^T X``, plus ``Y`` when given (``Y`` is left as it is)."""
+    if Y is None:
+        return zgemm(1.0, X.T, C).T
+    return zgemm(1.0, X.T, C, beta=1.0, c=Y.T).T
 
 
 def _normalize_rows(cell: Cell, X: np.ndarray) -> np.ndarray:
@@ -203,7 +214,13 @@ def eigensolve(
     The preconditioner is the shifted free-particle resolvent
     ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to each residual.
     Blocks are kept as (rows, components * n^3) arrays and reshaped
-    only around ``apply_h`` and the preconditioner.
+    only around ``apply_h`` and the preconditioner.  The Rayleigh-Ritz
+    step over ``[X, W, P]`` reads the upper block Grams of
+    ``[X, W, P] x [HX, HW, HP]``, and the update is the implicit one of
+    Knyazev (SIAM J. Sci. Comput. 23 (2001) 517):
+    ``P_new = C_w^T W + C_p^T P``, ``X_new = C_x^T X + P_new``, and the
+    same for the H blocks, accumulated by ``zgemm`` without stacking the
+    blocks into one array.
     """
     n = cell.n
     b = max(block or (count + 2), count, 2)
@@ -253,36 +270,42 @@ def eigensolve(
         chat /= 0.5 * k2 + shift[:, None, None, None, None]
         W = _normalize_rows(cell, cell.from_spectral(chat).reshape(R.shape))
         for _ in range(2):
-            _subtract_lincomb(W, _gram(cell, X, W), X)
+            _add_lincomb(W, _gram(cell, X, W), X, -1.0)
             if P is not None:
-                _subtract_lincomb(W, _gram(cell, P, W), P)
+                _add_lincomb(W, _gram(cell, P, W), P, -1.0)
             W = _normalize_rows(cell, W)
         Tw = _whiten(_gram(cell, W, W), 1e-10)
         if not Tw.shape[1]:
             W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            _subtract_lincomb(W, _gram(cell, X, W), X)
+            _add_lincomb(W, _gram(cell, X, W), X, -1.0)
             Tw = _whiten(_gram(cell, W, W), 1e-10)
         W = Tw.T @ W
         HW = apply(W)
 
+        # Rayleigh-Ritz over span[X, W, P] from the upper block Grams, which
+        # eigh reads as the Hermitian matrix; no block is copied
         blocks = [X, W] + ([P] if P is not None else [])
         h_blocks = [HX, HW] + ([HP] if P is not None else [])
-        S = np.concatenate(blocks, axis=0)
-        HS = np.concatenate(h_blocks, axis=0)
-        h_sub = _gram(cell, S, HS)
-        _, evecs = np.linalg.eigh(0.5 * (h_sub + h_sub.conj().T))
-        C = evecs[:, :b]
-        X_new = C.T @ S
-        HX_new = C.T @ HS
+        edges = np.cumsum([0] + [B.shape[0] for B in blocks])
+        h_sub = np.zeros((edges[-1], edges[-1]), dtype=complex)
+        for i, B in enumerate(blocks):
+            for j in range(i, len(blocks)):
+                h_sub[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = _gram(cell, B, h_blocks[j])
+        _, evecs = np.linalg.eigh(h_sub, UPLO="U")
+        C = [evecs[edges[i]:edges[i + 1], :b] for i in range(len(blocks))]
 
-        # implicit conjugate directions: the W/P part of the new block
-        C_wp = C[b:, :]
-        P = C_wp.T @ S[b:]
-        HP = C_wp.T @ HS[b:]
+        # implicit update (Knyazev 2001): the new conjugate directions are the
+        # W/P part of the Ritz vectors, and X_new = C_x^T X + P_new
+        P_new, HP_new = _lincomb(C[1], W), _lincomb(C[1], HW)
+        if P is not None:
+            _add_lincomb(P_new, C[2], P)
+            _add_lincomb(HP_new, C[2], HP)
+        X_new, HX_new = _lincomb(C[0], X, P_new), _lincomb(C[0], HX, HP_new)
+        P, HP = P_new, HP_new
         for _ in range(2):
             proj = _gram(cell, X_new, P)
-            _subtract_lincomb(P, proj, X_new)
-            _subtract_lincomb(HP, proj, HX_new)
+            _add_lincomb(P, proj, X_new, -1.0)
+            _add_lincomb(HP, proj, HX_new, -1.0)
             nrm = _row_norms(cell, P)
             good = nrm > 1e-150
             if not good.all():
@@ -548,6 +571,30 @@ class _AndersonMixer:
         return ScalarField(rho.cell, new)
 
 
+class _EigTolSchedule:
+    """Adaptive eigensolver tolerance of an SCF loop (as in DFTK's adaptive
+    diagonalisation; Herbst, Levitt, Cancès, Proc. JuliaCon Conf. 3 (2021) 69).
+
+    The eigensolver runs loose while the mean field is far from
+    self-consistent and tightens with the outer residual:
+    ``tol`` starts at ``start = max(target, EIG_TOL_START)`` and each
+    :meth:`tighten` sets it to ``EIG_TOL_FRACTION * residual`` clipped to
+    ``[target, start]``.  A loop may declare convergence only once
+    :attr:`at_target` holds, so its last iterate was solved at ``target``.
+    """
+
+    def __init__(self, target: float):
+        self.target = target
+        self.start = self.tol = max(target, EIG_TOL_START)
+
+    @property
+    def at_target(self) -> bool:
+        return self.tol <= self.target
+
+    def tighten(self, residual: float) -> None:
+        self.tol = float(np.clip(EIG_TOL_FRACTION * residual, self.target, self.start))
+
+
 @dataclass
 class _Iterate:
     """One evaluation of the SCF map at its inputs ``(rho, A)``: all that the
@@ -613,17 +660,14 @@ def scf_solve(
             A_in = _snap_zero(A0, rho_in, spec.alpha)
 
     mixer = _AndersonMixer(config.mix, spec.N)
-
-    # the eigensolver runs loose while the mean field is far from
-    # self-consistent and tightens as the outer residual shrinks
-    eig_tol_eff = max(eig_tol, 1e-5)
+    schedule = _EigTolSchedule(eig_tol)
 
     def evaluate(rho: ScalarField, A: MagneticPotential, X0) -> _Iterate:
         v_h, _ = hartree(rho)
         v_eff = ScalarField(cell, V.values + v_h.values)
         apply_h = make_hamiltonian(cell, v_eff, A)
         levels, orbitals, _, _, h_orbitals = eigensolve(
-            apply_h, cell, count, block=block, tol=eig_tol_eff,
+            apply_h, cell, count, block=block, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X0, seed=config.seed,
         )
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
@@ -694,9 +738,9 @@ def scf_solve(
         ledger.append({**cand.audit, "iteration": it})
         if cand.energy.total < config.energy_floor:
             return finish(cand, "instability")
-        if max(cand.residuals) <= config.tol and eig_tol_eff <= eig_tol:
+        if max(cand.residuals) <= config.tol and schedule.at_target:
             return finish(cand, regime_flag, converged=True)
-        eig_tol_eff = float(np.clip(0.03 * max(cand.residuals[:2]), eig_tol, 1e-5))
+        schedule.tighten(max(cand.residuals[:2]))
 
         rho_in = mixer.push(cand.rho, cand.rho_out)
         A_in = mix_A(cand.A, cand.A_out, config.mix, rho_in)

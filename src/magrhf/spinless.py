@@ -4,8 +4,9 @@ A deliberately separate assembly of the decoupled problem: scalar
 orbitals of ``-lap/2 + V + rho * coulomb`` with spin handled as a
 capacity-2 occupation per spatial level, and the energy summed directly
 from its integrals.  It shares only the low-level spectral primitives,
-the eigensolver and the density mixer with the spinor machinery, which
-makes it a useful cross-check of the full path in the ``A -> 0`` limit.
+the eigensolver, its tolerance schedule, the orbital residual and the
+density mixer with the spinor machinery, which makes it a useful
+cross-check of the full path in the ``A -> 0`` limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .fields import Cell, ScalarField
 from .hamiltonian import SystemSpec, external_potential, hartree
-from .scf import _AndersonMixer, eigensolve
+from .scf import _AndersonMixer, _EigTolSchedule, _orbital_residual, eigensolve
 
 __all__ = ["SpinlessResult", "scf_solve_spinless"]
 
@@ -86,7 +87,9 @@ def scf_solve_spinless(
 
     Convergence is declared on the orbital residual of the occupied
     states in their own mean field, like the spinor path, so the two
-    can be compared at matching tightness.
+    can be compared at matching tightness.  The eigensolver tolerance
+    follows the spinor path's schedule, driven by the orbital residual,
+    and convergence needs it to have reached ``eig_tol``.
     """
     cell = spec.cell
     if eig_tol is None:
@@ -106,6 +109,7 @@ def scf_solve_spinless(
     rho = ScalarField(cell, vals)
 
     mixer = _AndersonMixer(MIX, spec.N)
+    schedule = _EigTolSchedule(eig_tol)
     X_warm = None
     converged = False
     res_orb = np.inf
@@ -114,8 +118,8 @@ def scf_solve_spinless(
         v_h, _ = hartree(rho)
         v_eff = V.values + v_h.values
 
-        levels, orbitals, _, _, _ = eigensolve(
-            _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=eig_tol,
+        levels, orbitals, _, _, HX = eigensolve(
+            _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X_warm, seed=seed, components=1,
         )
         occ = _fill_capacity2(levels, spec.N)
@@ -124,21 +128,17 @@ def scf_solve_spinless(
             rho_out += f * np.abs(orb[0]) ** 2
         rho_out_field = ScalarField(cell, rho_out)
 
+        # the output mean field differs from the eigensolver's only in the
+        # Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
         v_h_out, _ = hartree(rho_out_field)
-        v_eff_out = V.values + v_h_out.values
-        HX = _scalar_hamiltonian(cell, v_eff_out)(orbitals)
-        nmo = len(occ)
-        lam = np.real(
-            np.sum(np.conjugate(orbitals.reshape(nmo, -1)) * HX.reshape(nmo, -1), axis=1) * cell.dV
-        )
-        R = HX - lam[:, None, None, None, None] * orbitals
-        res_per = np.sqrt(np.sum(np.abs(R.reshape(nmo, -1)) ** 2, axis=1) * cell.dV)
-        occupied = occ > 1e-12
-        res_orb = float(np.max(res_per[occupied] / np.maximum(1.0, np.abs(lam[occupied]))))
-        if res_orb <= tol:
+        HX += (v_h_out.values - v_h.values) * orbitals
+        res_orb = _orbital_residual(cell, orbitals, HX, occ)
+        del HX  # free the H X block before the next eigensolve builds its own
+        if res_orb <= tol and schedule.at_target:
             rho = rho_out_field
             converged = True
             break
+        schedule.tighten(res_orb)
         rho = mixer.push(rho, rho_out_field)
         X_warm = orbitals
 

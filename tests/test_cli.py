@@ -183,6 +183,23 @@ def test_eigensolver_failure_after_first_iterate_is_flagged(monkeypatch, tmp_pat
     assert record["results"]["iterations"] == 1
 
 
+def test_eigensolver_failure_on_first_iterate_exits_three(monkeypatch, tmp_path, capsys):
+    # with no accepted iterate there is no state to record: an error line
+    # and exit code 3, not a traceback
+    import magrhf.scf as scf
+
+    def failing(*args, **kwargs):
+        raise scf.EigensolveError("forced", np.zeros(0), np.zeros(0))
+
+    monkeypatch.setattr(scf, "eigensolve", failing)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(BASE, fh)
+    assert cli.main(["scf", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.strip() == "error: forced"
+    assert not os.path.exists(os.path.join(tmp_path, "scf_record.json"))
+
+
 def test_seed_override_recorded(tmp_path):
     proc, record, _ = _run("beta-bound", BASE, tmp_path, extra=("--seed", "42"))
     assert proc.returncode == 0

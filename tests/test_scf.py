@@ -202,8 +202,57 @@ def test_scf_pinned_matches_spinless_reference():
     ref = scf_solve_spinless(spec, tol=1e-9)
     assert ref.converged
     assert abs(state.energy.total - ref.energy_total) < 1e-8 * abs(ref.energy_total)
-    # Anderson density mixing converges the two paths in 8 and 10 iterations here
+    # Anderson density mixing converges the two paths in 8 and 11 iterations here
     assert state.iteration <= 12 and ref.iterations <= 12
+
+
+def test_spinless_residual_reuses_eigensolver_hx(monkeypatch):
+    # the oracle shifts the eigensolver's H X in place by the Hartree change
+    # instead of applying its output Hamiltonian again; a fresh apply agrees
+    import magrhf.spinless as spinless
+    from magrhf.hamiltonian import external_potential, hartree
+    from magrhf.scf import _orbital_residual
+
+    returned = []
+    original = spinless.eigensolve
+
+    def recorded(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(spinless, "eigensolve", recorded)
+    cell = Cell(8.0, 12)
+    spec = SystemSpec(cell, (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.02)
+    ref = spinless.scf_solve_spinless(spec, tol=1e-9)
+    assert ref.converged
+    _, orbitals, _, _, hx_out = returned[-1]
+    V = external_potential(spec, s_nuc=2.0 * cell.spacing)
+    fresh = spinless._scalar_hamiltonian(cell, V.values + hartree(ref.rho)[0].values)(orbitals)
+    assert np.linalg.norm(hx_out - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    assert abs(ref.orbital_residual - _orbital_residual(cell, orbitals, fresh, ref.occupations)) <= 1e-12
+
+
+def test_eig_tol_schedule():
+    from magrhf.scf import EIG_TOL_FRACTION, EIG_TOL_START, _EigTolSchedule
+
+    schedule = _EigTolSchedule(1e-10)
+    assert schedule.tol == EIG_TOL_START and not schedule.at_target
+    # a large residual keeps the tolerance at its ceiling
+    schedule.tighten(1.0)
+    assert schedule.tol == EIG_TOL_START
+    schedule.tighten(1e-6)
+    assert schedule.tol == EIG_TOL_FRACTION * 1e-6 and not schedule.at_target
+    # clipped at the target, which counts as reached
+    schedule.tighten(1e-12)
+    assert schedule.tol == 1e-10 and schedule.at_target
+    # the tolerance follows the residual back up
+    schedule.tighten(1e-4)
+    assert schedule.tol == EIG_TOL_FRACTION * 1e-4 and not schedule.at_target
+    # a target looser than the start is where the schedule begins and stays
+    loose = _EigTolSchedule(1e-3)
+    assert loose.tol == 1e-3 and loose.at_target
+    loose.tighten(1e-9)
+    assert loose.tol == 1e-3 and loose.at_target
 
 
 def test_scf_builds_one_hamiltonian_per_eigensolve(monkeypatch):
