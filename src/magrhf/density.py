@@ -103,14 +103,23 @@ def density(gamma: DensityMatrix) -> ScalarField:
 
 
 def current(gamma: DensityMatrix) -> VectorField:
-    """Current j(x) = (p gamma + gamma p)(x, x) = sum_k n_k 2 Im conj(phi_k) grad phi_k."""
+    """Current j(x) = (p gamma + gamma p)(x, x) = sum_k n_k 2 Im conj(phi_k) grad phi_k.
+
+    One forward transform of the occupied block, then one inverse
+    transform of the block's derivative along each axis.
+    """
     cell = gamma.cell
     j = np.zeros((3,) + (cell.n,) * 3)
-    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
-        if n_k == 0.0:
-            continue
-        grad = cell.from_spectral(1j * cell.k[:, None] * phi.spectral()[None])
-        j += 2.0 * n_k * np.sum(np.imag(np.conjugate(phi.values)[None] * grad), axis=1)
+    occupied = np.flatnonzero(gamma.occupations != 0.0)
+    if not occupied.size:
+        return VectorField(cell, j)
+    psi = np.stack([gamma.orbitals[i].values for i in occupied])
+    spec = cell.to_spectral(psi)
+    conj = np.conjugate(psi)
+    for j_a, k_a in zip(j, cell.k):
+        grad = cell.from_spectral(1j * k_a * spec)
+        for n_k, conj_k, grad_k in zip(gamma.occupations[occupied], conj, grad):
+            j_a += 2.0 * n_k * np.sum(np.imag(conj_k * grad_k), axis=0)
     return VectorField(cell, j)
 
 
@@ -129,8 +138,8 @@ def magnetisation(gamma: DensityMatrix) -> VectorField:
     return VectorField(cell, m)
 
 
-def physical_current(gamma: DensityMatrix, A: MagneticPotential) -> VectorField:
-    """Gauge-invariant current j/2 + A rho.
+def physical_current(rho: ScalarField, j: VectorField, A: MagneticPotential) -> VectorField:
+    """Gauge-invariant current j/2 + A rho of a state's density and current.
 
     With the convention ``j = (p gamma + gamma p)(x, x)`` the velocity
     operator of ``(1/2)(p + A)^2`` gives the conserved current
@@ -138,9 +147,7 @@ def physical_current(gamma: DensityMatrix, A: MagneticPotential) -> VectorField:
     ``exp(-i mu)`` the combination is unchanged, and its divergence
     vanishes at self-consistency.
     """
-    rho = density(gamma)
-    j = current(gamma)
-    return VectorField(gamma.cell, 0.5 * j.values + A.A.values * rho.values[None])
+    return VectorField(rho.cell, 0.5 * j.values + A.A.values * rho.values[None])
 
 
 @dataclass(frozen=True)

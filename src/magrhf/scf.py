@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.linalg.blas import zgemm
 
 from .density import (
@@ -37,6 +38,7 @@ from .density import (
     density,
     kinetic_inequality_report,
     magnetisation,
+    physical_current,
     total_energy,
 )
 from .fields import (
@@ -156,38 +158,51 @@ def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", f, f) * cell.dV)
 
 
-def _add_lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray, alpha: float = 1.0) -> None:
-    """``Y += alpha C^T X`` in place, as one ``zgemm`` on the transposed views.
+def _lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> None:
+    """``Y = alpha C^T X + beta Y`` in place, as one ``zgemm`` on the transposed views.
 
     ``Y`` must be C-ordered so that ``Y.T`` is the Fortran-ordered
     array BLAS overwrites.
     """
-    zgemm(alpha, X.T, C, beta=1.0, c=Y.T, overwrite_c=1)
-
-
-def _lincomb(C: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """A new C-ordered block ``C^T X``, plus ``Y`` when given (``Y`` is left as it is)."""
-    if Y is None:
-        return zgemm(1.0, X.T, C).T
-    return zgemm(1.0, X.T, C, beta=1.0, c=Y.T).T
-
-
-def _normalize_rows(cell: Cell, X: np.ndarray) -> np.ndarray:
-    """Scale each row of a block it owns to unit norm, dropping vanishing ones."""
-    nrm = _row_norms(cell, X)
-    good = nrm > 1e-150
-    if not good.all():
-        X, nrm = X[good], nrm[good]
-    X /= nrm[:, None]
-    return X
+    zgemm(alpha, X.T, C, beta=beta, c=Y.T, overwrite_c=1)
 
 
 def _whiten(g: np.ndarray, rel_tol: float) -> np.ndarray:
-    """``T`` with ``T^H g T = 1`` on the eigen-directions of the symmetrised Gram matrix
-    ``g`` above ``rel_tol`` times its largest eigenvalue; ``T`` may have no columns."""
-    vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
-    keep = vals > rel_tol * max(float(vals.max()), 1e-300)
-    return vecs[:, keep] / np.sqrt(vals[keep])
+    """``T`` with ``T^H g T = 1`` on the eigen-directions of the Gram matrix ``g``
+    scaled to unit diagonal that lie above ``rel_tol`` times its largest
+    eigenvalue.  A vanishing row gets a zero row of ``T``; ``T`` may have no columns."""
+    d = np.sqrt(np.real(np.diagonal(g)))
+    s = np.divide(1.0, d, out=np.zeros_like(d), where=d > 1e-150)
+    gs = s[:, None] * g * s
+    vals, vecs = np.linalg.eigh(0.5 * (gs + gs.conj().T))
+    keep = vals > rel_tol * max(vals.max(initial=0.0), 1e-300)
+    return s[:, None] * vecs[:, keep] / np.sqrt(vals[keep])
+
+
+def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> tuple[int, np.ndarray]:
+    """Project ``span(B)`` (orthonormal rows) out of the rows of ``W`` in place.
+
+    Twice is enough (Kahan, in Parlett, The Symmetric Eigenvalue Problem):
+    a second pass runs only when the first removed more than half of a
+    row's norm, and a row that loses more than half again lies in
+    ``span(B)`` to working precision and is dropped.  The ``k`` rows
+    kept move to the top of ``W``; returns ``k`` and the ``T`` that
+    whitens them (:func:`_whiten` at 1e-10).
+    """
+    before = _row_norms(cell, W)
+    for _ in range(2):
+        _lincomb(W, _gram(cell, B, W), B, -1.0, 1.0)
+        g = _gram(cell, W, W)
+        after = np.sqrt(np.real(np.diagonal(g)))
+        keep = after > 0.5 * before
+        if keep.all():
+            break
+        before = after
+    k = int(keep.sum())
+    if k < len(W):
+        W[:k] = W[keep]
+        g = g[np.ix_(keep, keep)]
+    return k, _whiten(g, 1e-10)
 
 
 def eigensolve(
@@ -212,116 +227,107 @@ def eigensolve(
     :class:`EigensolveError` carrying the best residuals is raised.
 
     The preconditioner is the shifted free-particle resolvent
-    ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to each residual.
-    Blocks are kept as (rows, components * n^3) arrays and reshaped
-    only around ``apply_h`` and the preconditioner.  The Rayleigh-Ritz
-    step over ``[X, W, P]`` reads the upper block Grams of
-    ``[X, W, P] x [HX, HW, HP]``, and the update is the implicit one of
-    Knyazev (SIAM J. Sci. Comput. 23 (2001) 517):
-    ``P_new = C_w^T W + C_p^T P``, ``X_new = C_x^T X + P_new``, and the
-    same for the H blocks, accumulated by ``zgemm`` without stacking the
-    blocks into one array.
+    ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to each residual of
+    an unconverged pair (soft locking).  The basis ``S = [X | P | W]``
+    and its image ``HS = [HX | HP | HW]`` are contiguous row blocks of
+    two preallocated (3 block, components * n^3) buffers each; the
+    slots are as wide as their blocks are.  ``W`` is projected against
+    ``[X | P]`` (a second pass only where the first removed more than
+    half of a row, "twice is enough") and whitened in the small space,
+    so ``S T`` is orthonormal for a small matrix ``T``.  One ``zgemm``
+    gives the Rayleigh-Ritz matrix ``T^H S^H HS T``.  Its Ritz vectors
+    ``Y`` and the conjugate directions ``Z``, the P and W part of ``Y``
+    made orthonormal to ``Y`` in the small space (Hetmaniuk & Lehoucq,
+    J. Comput. Phys. 218 (2006) 324), give the next ``[X | P]`` and its
+    H image by one ``zgemm`` each over ``S`` and ``HS`` into the other
+    buffer: the implicit update of Knyazev (SIAM J. Sci. Comput. 23
+    (2001) 517).  ``X`` leaves each step as Ritz vectors, so it is not
+    rotated again.
     """
     n = cell.n
     b = max(block or (count + 2), count, 2)
     rng = np.random.default_rng(seed)
     field_shape = (components,) + (n,) * 3
     shape = (b, components * n**3)
+    # the start block: the rows of X0, filled up with random rows to b orthonormal ones
+    # (a second fill only where the rows of X0 are dependent)
+    X = np.zeros((0, shape[1]), dtype=complex)
     if X0 is not None:
         X = np.array(X0, dtype=complex)[:b].reshape(-1, shape[1])
-        if X.shape[0] < b:
-            extra_shape = (b - X.shape[0], shape[1])
-            extra = rng.standard_normal(extra_shape) + 1j * rng.standard_normal(extra_shape)
-            X = np.concatenate([X, extra], axis=0)
-    else:
-        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for _ in range(2):
+        if len(X) < b:
+            extra_shape = (b - len(X), shape[1])
+            X = np.concatenate([X, rng.standard_normal(extra_shape) + 1j * rng.standard_normal(extra_shape)])
+        X = _whiten(_gram(cell, X, X), 1e-12).T @ X
+        if len(X) == b:
+            break
 
     def apply(Y: np.ndarray) -> np.ndarray:
         return apply_h(Y.reshape((-1,) + field_shape)).reshape(Y.shape)
 
-    X = _whiten(_gram(cell, X, X), 1e-12).T @ X
     HX = apply(X)
-    P = HP = None
+    h = _gram(cell, X, HX)
+    theta, U = np.linalg.eigh(0.5 * (h + h.conj().T))
+    # two copies of the basis and of its H image: a step reads one and writes the next [X | P] into the other
+    S = [np.empty((3 * b, shape[1]), dtype=complex) for _ in range(2)]
+    HS = [np.empty_like(S[0]) for _ in range(2)]
+    kx, kp = X.shape[0], 0
+    _lincomb(S[0][:kx], U, X)
+    _lincomb(HS[0][:kx], U, HX)
+    del X, HX
     k2 = cell.k2_full
     rel = np.full(b, np.inf)
 
     for it in range(1, max_iter + 1):
-        # Rayleigh-Ritz rotation inside the current block
-        h = _gram(cell, X, HX)
-        theta, U = np.linalg.eigh(0.5 * (h + h.conj().T))
-        X = U.T @ X
-        HX = U.T @ HX
-        R = np.multiply(X, -theta[:, None])
+        S0, HS0 = S[(it - 1) % 2], HS[(it - 1) % 2]
+        X, HX, w0 = S0[:kx], HS0[:kx], kx + kp
+        R = S0[w0:w0 + kx]  # the residuals take the W slot
+        np.multiply(X, -theta[:, None], out=R)
         R += HX
         rel = _row_norms(cell, R) / np.maximum(1.0, np.abs(theta))
         if np.all(rel[:count] <= tol):
-            return theta, X.reshape((b,) + field_shape), rel, it, HX.reshape((b,) + field_shape)
+            # copies, so the 3-block buffers are not kept alive by the result
+            return theta, X.reshape((-1,) + field_shape).copy(), rel, it, HX.reshape((-1,) + field_shape).copy()
 
         # preconditioned residuals of the unconverged pairs only
         # (soft locking: converged vectors stay in the basis but stop
         # spawning search directions)
         active = rel > 0.25 * tol
         if not np.any(active):
-            active = np.ones(b, dtype=bool)
-        if not active.all():
-            R = R[active]
+            active[:] = True
+        kw = int(active.sum())
+        if kw < kx:
+            R[:kw] = R[active]
+        W = S0[w0:w0 + kw]
         shift = np.maximum(1.0, -theta[active] + 1.0)
-        chat = cell.to_spectral(R.reshape((-1,) + field_shape))
+        chat = cell.to_spectral(W.reshape((-1,) + field_shape))
         chat /= 0.5 * k2 + shift[:, None, None, None, None]
-        W = _normalize_rows(cell, cell.from_spectral(chat).reshape(R.shape))
-        for _ in range(2):
-            _add_lincomb(W, _gram(cell, X, W), X, -1.0)
-            if P is not None:
-                _add_lincomb(W, _gram(cell, P, W), P, -1.0)
-            W = _normalize_rows(cell, W)
-        Tw = _whiten(_gram(cell, W, W), 1e-10)
+        W[...] = cell.from_spectral(chat).reshape(W.shape)
+        del chat  # not alive during the apply
+        kw, Tw = _complement(cell, S0[:w0], W)
         if not Tw.shape[1]:
-            W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            _add_lincomb(W, _gram(cell, X, W), X, -1.0)
-            Tw = _whiten(_gram(cell, W, W), 1e-10)
-        W = Tw.T @ W
-        HW = apply(W)
+            # W lies in span[X | P] to working precision: restart it from random directions
+            W = S0[w0:w0 + b]
+            W[...] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            kw, Tw = _complement(cell, S0[:w0], W)
+        m = w0 + kw
+        HS0[w0:m] = apply(S0[w0:m])
 
-        # Rayleigh-Ritz over span[X, W, P] from the upper block Grams, which
-        # eigh reads as the Hermitian matrix; no block is copied
-        blocks = [X, W] + ([P] if P is not None else [])
-        h_blocks = [HX, HW] + ([HP] if P is not None else [])
-        edges = np.cumsum([0] + [B.shape[0] for B in blocks])
-        h_sub = np.zeros((edges[-1], edges[-1]), dtype=complex)
-        for i, B in enumerate(blocks):
-            for j in range(i, len(blocks)):
-                h_sub[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = _gram(cell, B, h_blocks[j])
-        _, evecs = np.linalg.eigh(h_sub, UPLO="U")
-        C = [evecs[edges[i]:edges[i + 1], :b] for i in range(len(blocks))]
-
-        # implicit update (Knyazev 2001): the new conjugate directions are the
-        # W/P part of the Ritz vectors, and X_new = C_x^T X + P_new
-        P_new, HP_new = _lincomb(C[1], W), _lincomb(C[1], HW)
-        if P is not None:
-            _add_lincomb(P_new, C[2], P)
-            _add_lincomb(HP_new, C[2], HP)
-        X_new, HX_new = _lincomb(C[0], X, P_new), _lincomb(C[0], HX, HP_new)
-        P, HP = P_new, HP_new
+        # Rayleigh-Ritz over the orthonormal basis S T, T = diag(1, Tw)
+        T = block_diag(np.eye(w0), Tw)
+        h = T.conj().T @ _gram(cell, S0[:m], HS0[:m]) @ T
+        vals, Y = np.linalg.eigh(0.5 * (h + h.conj().T))
+        theta, Y = vals[:b], Y[:, :b]
+        # conjugate directions: the P and W part of the Ritz vectors, orthonormal to them
+        Z = Y.copy()
+        Z[:kx] = 0.0
         for _ in range(2):
-            proj = _gram(cell, X_new, P)
-            _add_lincomb(P, proj, X_new, -1.0)
-            _add_lincomb(HP, proj, HX_new, -1.0)
-            nrm = _row_norms(cell, P)
-            good = nrm > 1e-150
-            if not good.all():
-                P, HP, nrm = P[good], HP[good], nrm[good]
-            if P.shape[0] == 0:
-                break
-            scale = (1.0 / nrm)[:, None]
-            P *= scale
-            HP *= scale
-        Tp = _whiten(_gram(cell, P, P), 1e-8) if P.shape[0] else np.zeros((0, 0))
-        if Tp.shape[1]:
-            P = Tp.T @ P
-            HP = Tp.T @ HP
-        else:
-            P = HP = None
-        X, HX = X_new, HX_new
+            Z -= Y @ (Y.conj().T @ Z)
+        Z = Z @ _whiten(Z.conj().T @ Z, 1e-8)
+        C = T @ np.concatenate([Y, Z], axis=1)
+        kx, kp = Y.shape[1], Z.shape[1]
+        _lincomb(S[it % 2][:kx + kp], C, S0[:m])
+        _lincomb(HS[it % 2][:kx + kp], C, HS0[:m])
 
     raise EigensolveError(
         f"eigensolver did not reach tol={tol} within {max_iter} iterations "
@@ -469,8 +475,7 @@ def _continuity_residual(rho: ScalarField, j: VectorField, A: MagneticPotential)
     ``ZERO_FLOOR ||rho||`` the current counts as zero instead of dividing
     noise by noise.
     """
-    cell = rho.cell
-    phys = VectorField(cell, 0.5 * j.values + A.A.values * rho.values[None])
+    phys = physical_current(rho, j, A)
     norm = phys.norm()
     if norm <= ZERO_FLOOR * rho.norm():
         return 0.0

@@ -167,8 +167,8 @@ def test_gauge_shift_preserves_physical_current():
     A2 = MagneticPotential(VectorField(cell, A.A.values + grad_mu.values), check_gauge=False)
     shifted = SpinorField(cell, np.exp(-1j * mu)[None] * orbs[0].values)
     gamma2 = DensityMatrix((shifted,), np.array([1.0]))
-    p1 = physical_current(gamma, A)
-    p2 = physical_current(gamma2, A2)
+    p1 = physical_current(density(gamma), current(gamma), A)
+    p2 = physical_current(density(gamma2), current(gamma2), A2)
     scale = max(p1.norm(), 1e-10)
     assert np.abs(p2.values - p1.values).max() < 1e-9 * scale
 

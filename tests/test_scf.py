@@ -2,12 +2,14 @@
 self-consistent loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import bandlimited_scalar, bandlimited_vector
 from numpy.testing import assert_allclose
 
+from magrhf import scf
 from magrhf.density import current, density, magnetisation
 from magrhf.fields import Cell, ScalarField, VectorField, curl, divergence, helmholtz_project
 from magrhf.hamiltonian import MagneticPotential, Nucleus, SystemSpec
@@ -99,6 +101,128 @@ def test_eigensolve_zero_mode_level_drops_under_refinement():
         lows.append(abs(levels[0]))
     assert lows[-1] < 0.1 * lows[0]
     assert lows[-1] < 1e-3
+
+
+def _dense_problem(components: int, n: int, seed: int):
+    """A random Hermitian operator on a tiny grid, applied as a dense matrix, and its spectrum."""
+    cell = Cell(6.0, n)
+    dim = components * n**3
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    M = 0.5 * (M + M.conj().T)
+
+    def apply_h(X):
+        return (X.reshape(len(X), dim) @ M.T).reshape(X.shape)
+
+    return cell, apply_h, np.linalg.eigvalsh(M)
+
+
+def _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, count):
+    """The returned block is orthonormal, carries H X and holds the lowest levels."""
+    flat = orbs.reshape(len(levels), -1)
+    gram = flat.conj() @ flat.T * cell.dV
+    assert np.abs(gram - np.eye(len(levels))).max() <= 1e-12
+    direct = apply_h(orbs)
+    assert np.linalg.norm(h_orbs - direct) <= 1e-12 * np.linalg.norm(direct)
+    assert np.abs(levels[:count] - ref[:count]).max() < 1e-9
+
+
+def test_eigensolve_restart_keeps_the_basis_orthonormal(monkeypatch):
+    # The preconditioner is positive, so <R, W> > 0 and W = T R never lies in
+    # span[X | P] in exact arithmetic: the restart branch is reached only at
+    # working precision.  Force it in iteration 2, where P is present, by
+    # making the second whitening of W keep no direction.
+    cell = Cell(6.0, 6)
+    rng = np.random.default_rng(3)
+    v = ScalarField(cell, rng.standard_normal((6,) * 3))
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.3 * rng.standard_normal((3,) + (6,) * 3))))
+    apply_h = make_hamiltonian(cell, v, A)
+    dim = 2 * 6**3
+    ref = np.linalg.eigvalsh(apply_h(np.eye(dim, dtype=complex).reshape(dim, 2, 6, 6, 6)).reshape(dim, dim).T)
+    original, w_calls = scf._whiten, []
+
+    def whiten(g, rel_tol):
+        if rel_tol == 1e-10:  # the whitening of W
+            w_calls.append(len(g))
+            if len(w_calls) == 2:
+                return np.zeros((len(g), 0), dtype=complex)
+        return original(g, rel_tol)
+
+    monkeypatch.setattr(scf, "_whiten", whiten)
+    levels, orbs, _, _, h_orbs = eigensolve(apply_h, cell, 5, block=8, tol=1e-11, seed=0, max_iter=600)
+    assert len(w_calls) > 3  # the random restart block was whitened in iteration 2
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 5)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_eigensolve_soft_locking_narrows_w(components):
+    # early pairs converge first and stop spawning search directions, so
+    # some W slots hold fewer rows than X
+    cell, apply_h, ref = _dense_problem(components, 4, seed=5)
+    sizes = []
+
+    def recorded(X):
+        sizes.append(len(X))
+        return apply_h(X)
+
+    levels, orbs, _, _, h_orbs = eigensolve(recorded, cell, 4, block=8, tol=1e-10, seed=1, max_iter=600,
+                                            components=components)
+    assert sizes[0] == 8 and min(sizes[1:]) < 8
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 4)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_eigensolve_rank_loss_after_whitening(components, monkeypatch):
+    # a block of 40 (80) in a space of 64 (128) dimensions: W has only 24
+    # (48) directions outside X, and P only as many outside the Ritz vectors
+    cell, apply_h, ref = _dense_problem(components, 4, seed=7)
+    block = 40 * components
+    original, widths = scf._whiten, {}
+
+    def whiten(g, rel_tol):
+        T = original(g, rel_tol)
+        widths.setdefault(rel_tol, []).append((len(g), T.shape[1]))
+        return T
+
+    monkeypatch.setattr(scf, "_whiten", whiten)
+    levels, orbs, _, _, h_orbs = eigensolve(apply_h, cell, 3, block=block, tol=1e-11, seed=0, max_iter=600,
+                                            components=components)
+    # W (whitened at 1e-10) and P (at 1e-8) each lost rank in some step
+    assert any(kept < rows for rows, kept in widths[1e-10])
+    assert any(kept < rows for rows, kept in widths[1e-8])
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 3)
+
+
+def test_eigensolve_fills_a_dependent_warm_start():
+    # a warm start of 6 rows spanning only 2 directions is filled up to a
+    # block of 6 orthonormal rows, and all 4 requested pairs converge
+    cell = Cell(6.0, 6)
+    rng = np.random.default_rng(0)
+    apply_h = make_hamiltonian(cell, ScalarField(cell, rng.standard_normal((6,) * 3)), None)
+    ref, X, _, _, _ = eigensolve(apply_h, cell, 4, block=6, tol=1e-9, seed=0)
+    X0 = np.tile(X[:2], (3, 1, 1, 1, 1))
+    levels, orbs, res, _, h_orbs = eigensolve(apply_h, cell, 4, block=6, tol=1e-9, seed=0, X0=X0)
+    assert orbs.shape == X.shape and np.all(res[:4] <= 1e-9)
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 4)
+
+
+def test_eigensolve_peak_allocation_in_blocks():
+    # One solve of a (4, 2, 12^3) block allocates its two 3-block basis buffers and their two H
+    # images (12 blocks) and, at its peak, the temporaries of one apply (2.5 blocks).  Measured:
+    # 14.57 blocks (19.57 with the per-iteration blocks of the earlier update).  A stacked basis
+    # or one more block-sized temporary per iteration exceeds the bound.
+    cell = Cell(8.0, 12)
+    rng = np.random.default_rng(0)
+    apply_h = make_hamiltonian(cell, ScalarField(cell, rng.standard_normal((12,) * 3)), None)
+    block_bytes = 4 * 2 * 12**3 * 16
+    cell.k2_full  # cached once per cell, outside the measurement
+    tracemalloc.start()
+    try:
+        eigensolve(apply_h, cell, 2, block=4, tol=1e-8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.0 * block_bytes
 
 
 def test_eigensolve_nonconvergence_raises_with_residuals():
