@@ -73,11 +73,8 @@ class DensityMatrix:
 
     def _check_orthonormal(self, tol: float = 1e-10) -> None:
         m = len(self.orbitals)
-        gram = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(i, m):
-                gram[i, j] = inner(self.orbitals[i], self.orbitals[j])
-                gram[j, i] = np.conjugate(gram[i, j])
+        X = np.stack([phi.values for phi in self.orbitals]).reshape(m, -1)
+        gram = (X.conj() @ X.T) * self.cell.dV
         err = np.abs(gram - np.eye(m)).max()
         if err > tol:
             raise ValueError(f"orbitals are not orthonormal: max deviation {err:.3e}")

@@ -37,6 +37,8 @@ __all__ = [
     "transverse_spectral",
     "poisson_potential",
     "inner",
+    "restrict",
+    "prolong",
 ]
 
 # MAGRHF_THREADS caps the worker pool handed to the FFT backend.
@@ -341,3 +343,37 @@ def poisson_potential(rho: ScalarField) -> ScalarField:
     c = rho.spectral()
     phi = 4.0 * np.pi * c * cell.inv_k2
     return ScalarField(cell, cell.from_spectral(phi).real)
+
+
+def _shared_modes(coarse: Cell, fine: Cell) -> tuple[np.ndarray, ...]:
+    """Index of every coarse-grid mode in the fine grid's spectral array (fftfreq layout)."""
+    if coarse.L != fine.L or coarse.n > fine.n:
+        raise CellMismatchError(f"{coarse} is not a coarser grid of {fine}")
+    j = np.arange(coarse.n)
+    axis = np.where(j < coarse.n // 2, j, j + fine.n - coarse.n)
+    return (Ellipsis,) + np.ix_(axis, axis, axis)
+
+
+def restrict(cell: Cell, values: np.ndarray, coarse: Cell) -> np.ndarray:
+    """Fourier truncation of samples ``(..., n, n, n)`` on ``cell`` to the coarser grid.
+
+    The modes ``|m_i| < n_c / 2`` keep their coefficients and the coarse
+    Nyquist planes are zeroed, so the kept set is symmetric and real
+    samples restrict to real samples (up to roundoff in the returned
+    complex array).
+    """
+    c = cell.to_spectral(values)[_shared_modes(coarse, cell)]
+    h = coarse.n // 2
+    c[..., h, :, :] = c[..., :, h, :] = c[..., :, :, h] = 0.0
+    return coarse.from_spectral(c)
+
+
+def prolong(cell: Cell, values: np.ndarray, fine: Cell) -> np.ndarray:
+    """Zero-padding of samples ``(..., n_c, n_c, n_c)`` on ``cell`` to the finer grid.
+
+    Every coarse mode keeps its coefficient, so grid inner products are
+    preserved (Parseval) and an orthonormal block stays orthonormal.
+    """
+    c = np.zeros(values.shape[:-3] + (fine.n,) * 3, dtype=complex)
+    c[_shared_modes(cell, fine)] = cell.to_spectral(values)
+    return fine.from_spectral(c)

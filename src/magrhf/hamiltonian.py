@@ -275,24 +275,27 @@ def apply_magnetic_laplacian(psi: SpinorField, A: MagneticPotential | None) -> S
     return SpinorField(psi.cell, 2.0 * _kinetic(psi.cell, psi.values, *_pointwise(psi.cell, A, spin=False)))
 
 
-def _sigma_contract(v: np.ndarray) -> np.ndarray:
-    """Contract sigma with spinor-valued vector components, v: (3, 2, n, n, n)."""
-    vx, vy, vz = v
-    up = vz[0] + vx[1] - 1j * vy[1]
-    dn = vx[0] + 1j * vy[0] - vz[1]
-    return np.stack([up, dn])
-
-
 def apply_sigma_kinetic_root(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
-    """Apply the first-order operator ``sigma . (p + A)`` to a spinor."""
+    """Apply the first-order operator ``sigma . (p + A)`` to a spinor.
+
+    One axis at a time: ``(p_i + A_i) psi`` is formed and contracted with
+    ``sigma_i`` into the output, every temporary in one buffer, so no
+    (3, 2, n, n, n) block is built.
+    """
     cell = psi.cell
     if A is not None and A.cell != cell:
         raise CellMismatchError("spinor and vector potential live on different cells")
+    a = None if A is None or A.is_zero() else A.A.values
     c = psi.spectral()
-    v = cell.from_spectral(cell.k[:, None] * c[None])  # p psi = -i grad psi
-    if A is not None and not A.is_zero():
-        v = v + A.A.values[:, None] * psi.values[None]
-    return SpinorField(cell, _sigma_contract(v))
+    out = np.zeros_like(c)
+    tmp = np.empty_like(c)
+    for i in range(3):
+        v = cell.from_spectral(np.multiply(c, cell.k[i], out=tmp))  # p_i psi = -i d_i psi
+        if a is not None:
+            v += np.multiply(psi.values, a[i], out=tmp)
+        out += np.matmul(PAULI[i], v.reshape(2, -1), out=tmp.reshape(2, -1)).reshape(out.shape)
+        del v
+    return SpinorField(cell, out)
 
 
 def apply_pauli_kinetic(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:

@@ -4,6 +4,8 @@ and the Poisson solver."""
 import numpy as np
 import pytest
 from conftest import (
+    bandlimited_scalar,
+    bandlimited_spinor,
     bandlimited_vector,
     radial_quadrature_gaussian_potential_at_center,
     wigner_constant,
@@ -22,6 +24,8 @@ from magrhf.fields import (
     helmholtz_project,
     inner,
     poisson_potential,
+    prolong,
+    restrict,
 )
 
 CELL = Cell(10.0, 24)
@@ -200,3 +204,50 @@ def test_fields_are_immutable():
     f = ScalarField(CELL, np.zeros((24,) * 3))
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 1.0
+
+
+# ------------------------------------------------------------- grid transfer
+
+COARSE = Cell(10.0, 12)
+
+
+def test_prolong_then_restrict_returns_bandlimited_data():
+    # modes below the coarse Nyquist plane survive the round trip exactly;
+    # on every second fine point the zero-padded series equals its samples
+    rng = np.random.default_rng(0)
+    X = np.stack([bandlimited_spinor(COARSE, rng, kfrac=0.9).values for _ in range(3)])
+    fine = prolong(COARSE, X, CELL)
+    assert fine.shape == (3, 2) + (CELL.n,) * 3
+    assert np.abs(fine[..., ::2, ::2, ::2] - X).max() <= 1e-14 * np.abs(X).max()
+    assert np.abs(restrict(CELL, fine, COARSE) - X).max() <= 1e-14 * np.abs(X).max()
+
+
+def test_prolonged_orthonormal_block_stays_orthonormal():
+    # the random block fills every coarse mode, its Nyquist planes included
+    rng = np.random.default_rng(1)
+    shape = (5, 2 * COARSE.n**3)
+    q, _ = np.linalg.qr((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T)
+    X = (q.T / np.sqrt(COARSE.dV)).reshape((5, 2) + (COARSE.n,) * 3)
+    fine = prolong(COARSE, X, CELL).reshape(5, -1)
+    gram = fine.conj() @ fine.T * CELL.dV
+    assert np.abs(gram - np.eye(5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [24, 22])
+def test_real_field_restricts_to_real_field(n):
+    # white noise fills the fine Nyquist planes too; the coarse Nyquist
+    # planes are zeroed so the kept mode set is symmetric
+    fine = Cell(10.0, n)
+    v = np.random.default_rng(2).standard_normal((fine.n,) * 3)
+    out = restrict(fine, v, COARSE)
+    assert np.abs(out.imag).max() <= 1e-14 * np.abs(out.real).max()
+    # band-limited data restricts to its samples on the coarse points
+    smooth = bandlimited_scalar(CELL, np.random.default_rng(3), kfrac=0.4).values
+    assert np.abs(restrict(CELL, smooth, COARSE) - smooth[::2, ::2, ::2]).max() <= 1e-14 * np.abs(smooth).max()
+
+
+def test_transfer_rejects_other_cells():
+    with pytest.raises(CellMismatchError):
+        restrict(COARSE, np.zeros((12,) * 3), CELL)
+    with pytest.raises(CellMismatchError):
+        prolong(COARSE, np.zeros((12,) * 3), Cell(9.0, 24))

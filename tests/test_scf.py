@@ -464,6 +464,68 @@ def test_scf_warm_start_snaps_roundoff_potential(monkeypatch):
     assert zero_a and all(zero_a)
 
 
+def _record_starts(monkeypatch) -> list[tuple]:
+    """Patch ``scf.eigensolve`` to record the start block and iteration count of each call."""
+    calls: list[tuple] = []
+    original = scf.eigensolve
+
+    def recorded(*args, X0=None, **kwargs):
+        out = original(*args, X0=X0, **kwargs)
+        calls.append((X0, out[3]))
+        return out
+
+    monkeypatch.setattr(scf, "eigensolve", recorded)
+    return calls
+
+
+def test_scf_cold_start_solves_the_half_grid_first(monkeypatch):
+    # the first eigensolve starts from the Ritz vectors of the half grid
+    # and needs a few iterations; from random vectors it needs ~38
+    calls = _record_starts(monkeypatch)
+    state = scf_solve(_unpolarised_h())
+    assert state.converged
+    X0, iterations = calls[0]
+    assert X0 is not None and iterations <= 10
+    calls.clear()
+    monkeypatch.setattr(scf, "_coarse_start", lambda *args: None)
+    random = scf_solve(_unpolarised_h())
+    X0, iterations = calls[0]
+    assert X0 is None and iterations > 10
+    assert random.converged
+    assert abs(random.energy.total - state.energy.total) <= 1e-12 * abs(state.energy.total)
+
+
+@pytest.mark.parametrize("n, block, coarse", [(4, None, False), (6, None, True), (6, 43, False)])
+def test_scf_cold_start_on_small_grids(monkeypatch, n, block, coarse):
+    # n = 4 has no half grid (2 points per axis); at n = 6 the 4^3 half
+    # grid holds 2 * 64 = 128 unknowns, too few for 3 blocks of 43
+    coarse_grids: list[int] = []
+    original = scf._lobpcg
+
+    def recorded(apply_h, cell, *args, **kwargs):
+        coarse_grids.append(cell.n)
+        return original(apply_h, cell, *args, **kwargs)
+
+    monkeypatch.setattr(scf, "_lobpcg", recorded)
+    calls = _record_starts(monkeypatch)
+    spec = SystemSpec(Cell(8.0, n), (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.02)
+    state = scf_solve(spec, SCFConfig(tol=1e-7, eig_block=block, seed=0))
+    assert state.converged
+    assert coarse_grids == ([4] if coarse else [])
+    assert (calls[0][0] is not None) == coarse
+
+
+def test_scf_cold_start_falls_back_when_the_coarse_solve_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        raise EigensolveError("forced", np.zeros(0), np.zeros(0))
+
+    monkeypatch.setattr(scf, "_lobpcg", failing)
+    calls = _record_starts(monkeypatch)
+    state = scf_solve(_unpolarised_h(), SCFConfig(tol=1e-7, seed=0))
+    assert state.converged
+    assert calls[0][0] is None
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_snap_zero_at_its_bound(scale):
     from magrhf.scf import ZERO_FLOOR, _snap_zero
