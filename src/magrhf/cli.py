@@ -343,15 +343,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         record = run(args.subcommand, cfg, checkpoint=args.checkpoint)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+        paths = record.write(args.out or cfg.output.out_dir)
+    except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EigensolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    out_dir = args.out or cfg.output.out_dir
-    paths = record.write(out_dir)
     status = 0 if record.converged and not record.flags else 2
     print(f"{args.subcommand}: {'ok' if status == 0 else 'flagged'} "
           f"({record.elapsed_s:.1f} s), wrote {', '.join(paths)}")

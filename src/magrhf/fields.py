@@ -218,10 +218,6 @@ class VectorField:
     def zeros(cls, cell: Cell) -> "VectorField":
         return cls(cell, np.zeros((3,) + (cell.n,) * 3))
 
-    @classmethod
-    def from_spectral(cls, cell: Cell, coeffs: np.ndarray) -> "VectorField":
-        return cls(cell, cell.from_spectral(coeffs).real)
-
     def spectral(self) -> np.ndarray:
         return self.cell.to_spectral(self.values)
 

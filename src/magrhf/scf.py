@@ -9,9 +9,9 @@ The fixed point solved here is
 
 with the Fermi level chosen so the occupations sum to the electron
 count.  The loop alternates a preconditioned block eigensolve, aufbau
-filling, a spectral solve of the linear field equation (with the
-``A rho`` term lagged and iterated), Anderson mixing of the density and
-linear mixing of the potential.
+filling, one spectral solve of the linear field equation (with the
+``A rho`` term lagged), Anderson mixing of the density and linear
+mixing of the potential.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -81,8 +81,6 @@ ANDERSON_DEPTH = 5
 MIN_MIX = 1e-3
 #: LOBPCG iteration cap of each eigensolve
 EIG_MAXITER = 300
-#: lagged field solves per outer iteration (the ``A rho`` term of the field equation)
-A_INNER_ITERS = 2
 #: relative floor below which a field-equation source or a current counts as zero
 ZERO_FLOOR = 1e-6
 #: eigensolver tolerance of an SCF's first outer iteration, and the loosest it is ever given
@@ -422,13 +420,6 @@ def fermi_fill(
     return occ, fermi
 
 
-def _field_source(j: VectorField, m: VectorField, rho: ScalarField, A: MagneticPotential) -> np.ndarray:
-    """Transverse spectral source ``P_perp[(1/2)(j + curl m) + A rho]`` of the field equation."""
-    cell = j.cell
-    source = 0.5 * (j.values + curl(m).values) + A.A.values * rho.values[None]
-    return transverse_spectral(cell, cell.to_spectral(source))
-
-
 def update_vector_potential(
     j: VectorField,
     m: VectorField,
@@ -443,12 +434,13 @@ def update_vector_potential(
     ``k != 0``, with a vanishing mean (this realises the constant
     multiplier of the periodic stationarity system, and the decay of the
     potential in the box picture).  The ``A rho`` term uses the incoming
-    potential; the caller iterates the lag.
+    potential: the solve is lagged, and the outer iteration carries the lag.
     """
     cell = j.cell
     if m.cell != cell or rho.cell != cell or A_in.cell != cell or spec.cell != cell:
         raise ValueError("all fields must live on one cell")
-    shat = _field_source(j, m, rho, A_in)
+    source = 0.5 * (j.values + curl(m).values) + A_in.A.values * rho.values[None]
+    shat = transverse_spectral(cell, cell.to_spectral(source))
     ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2[None]
     ahat[:, 0, 0, 0] = 0.0
     return MagneticPotential(VectorField(cell, cell.from_spectral(ahat).real), check_gauge=False)
@@ -476,25 +468,33 @@ def _snap_zero(A: MagneticPotential, rho: ScalarField, alpha: float) -> Magnetic
 
 
 def _field_equation_residual(
-    j: VectorField, m: VectorField, rho: ScalarField, A: MagneticPotential, alpha: float
+    A: MagneticPotential, A_out: MagneticPotential, rho: ScalarField, alpha: float
 ) -> float:
     """Relative transverse residual of the stationarity equation for A.
 
+    ``A_out`` is the field solve from ``A`` (:func:`update_vector_potential`):
+    it sets ``-lap A_out / (4 pi alpha^2) = P_perp s(A)`` on every mode
+    ``k != 0``, so the residual ``P_perp s(A) - lap A / (4 pi alpha^2)`` is
+    ``lap(A_out - A) / (4 pi alpha^2)``, read off the series coefficients
+    (Parseval) relative to ``||P_perp s(A)|| + ||lap A|| / (4 pi alpha^2)``.
     Source terms below :func:`_source_floor` count as an exactly
     satisfied equation rather than a noise-over-noise ratio.  A zero
     potential has no Laplacian term, so its residual needs no transform
     of ``A``.
     """
-    cell = j.cell
-    shat = _field_source(j, m, rho, A)
-    shat[:, 0, 0, 0] = 0.0
-    src_norm = VectorField.from_spectral(cell, shat).norm()
+    cell = A_out.cell
+    weight = cell.k2_full[None] / (4.0 * np.pi * alpha**2)
+
+    def norm(c: np.ndarray) -> float:  # ||f|| = sqrt(L^3) ||c||
+        return math.sqrt(cell.volume) * float(np.linalg.norm(c))
+
+    lap_out = weight * cell.to_spectral(A_out.A.values)
     if A.is_zero():
-        lhs_norm = scale = src_norm
+        lhs_norm = scale = norm(lap_out)
     else:
-        lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
-        lhs_norm = VectorField.from_spectral(cell, shat + lap).norm()
-        scale = src_norm + VectorField.from_spectral(cell, lap).norm()
+        lap = weight * cell.to_spectral(A.A.values)
+        lhs_norm = norm(lap - lap_out)
+        scale = norm(lap_out) + norm(lap)
     if scale <= _source_floor(rho):
         return 0.0
     return lhs_norm / scale
@@ -732,11 +732,9 @@ def scf_solve(
         if config.pin_A:
             A_out, res_field = MagneticPotential.zero(cell), 0.0
         else:
-            A_out = A
-            for _ in range(A_INNER_ITERS):
-                A_out = update_vector_potential(j, m, rho_out, A_out, spec)
+            A_out = update_vector_potential(j, m, rho_out, A, spec)
+            res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
-            res_field = _field_equation_residual(j, m, rho_out, A, spec.alpha)
         return _Iterate(
             rho, A, gamma, orbitals, levels, fermi, rho_out, A_out,
             energy=total_energy(gamma, A, spec, V=V),
@@ -745,8 +743,6 @@ def scf_solve(
         )
 
     def mix_A(prev_A, out_A, theta, rho):
-        if config.pin_A:
-            return MagneticPotential.zero(cell)
         a_vals = (1.0 - theta) * prev_A.A.values + theta * out_A.A.values
         new_A = MagneticPotential(VectorField(cell, a_vals), check_gauge=False)
         return _snap_zero(new_A, rho, spec.alpha)

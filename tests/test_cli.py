@@ -256,6 +256,22 @@ def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, mess
     assert record is None
 
 
+@pytest.mark.parametrize(
+    "sub, flag",
+    [("zero-mode", "--config"), ("beta-bound", "--out"), ("scf", "--checkpoint")],
+)
+def test_unusable_paths_exit_one_without_traceback(tmp_path, sub, flag):
+    # a directory as the config file, or a path through a regular file
+    # for the record directory or the checkpoint
+    through_file = os.path.join(tmp_path, "cfg.json", "x")
+    bad = str(tmp_path) if flag == "--config" else through_file
+    proc, record, _ = _run(sub, BASE, tmp_path, extra=(flag, bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert record is None and not os.path.exists(through_file)
+
+
 def test_checkpoint_rejected_where_it_is_not_read(tmp_path):
     ckpt = os.path.join(tmp_path, "state.ckpt")
     proc, record, _ = _run("beta-bound", BASE, tmp_path, extra=("--checkpoint", ckpt))
