@@ -1,14 +1,19 @@
 """Mean-field Pauli Hamiltonian: kinetic term, nuclear and Hartree
 potentials, and the magnetic field energy.
 
-The kinetic operator is ``(1/2) [sigma . (p + A)]^2``, applied through
-the expansion ``(1/2)(p + A)^2 + (1/2) sigma . B``.  Derivatives act in
-Fourier space and potentials in real space; the cross term is
-symmetrised as ``(A . p + p . A) / 2`` so the discrete operator is
-Hermitian to roundoff regardless of the gauge of ``A``.  One batched
-kernel serves every apply (the eigensolver's block, the energy and the
-audits): with A != 0 it costs 8 FFTs per spinor component, with
-A = 0 it costs 2.
+The kinetic operator is ``T_A = (1/2) D^2`` with the root
+``D = sigma . (p + A)``.  Derivatives act in Fourier space and
+potentials in real space: ``D`` is one forward transform, ``sigma . k``
+on the series, one inverse transform and ``sigma . A`` on the grid, so
+``T_A`` costs 4 FFTs per spinor component with A != 0.  The derivative
+vectors are zeroed on the Nyquist planes; the part of ``|k|^2`` they
+drop there is added back, so A = 0 gives ``(1/2) |k|^2`` exactly, at
+2 FFTs per component.  ``D`` is Hermitian on the grid, so ``T_A`` is
+``D^+ D / 2`` plus that nonnegative Nyquist term: nonnegative whatever
+the gauge or the resolution of ``A``.  The spin-free
+``(p + A)^2`` of the audits keeps the expansion
+``p^2 + A . p + p . A + |A|^2`` (8 FFTs per component), whose cross
+term is symmetrised so the discrete operator is Hermitian to roundoff.
 
 Nuclear potentials use the periodic Coulomb kernel (Fourier symbol
 ``4 pi / |k|^2`` with the ``k = 0`` mode dropped).  Molecular systems
@@ -164,31 +169,34 @@ class MagneticPotential:
         return not np.any(self.A.values)
 
 
-#: pointwise multiplier of the kinetic kernel: none, a real array, or
-#: the four entries of a 2x2 spin matrix (see :func:`_sigma_dot`)
-_Multiplier = np.ndarray | tuple[np.ndarray, ...] | None
+def _vector_potential(cell: Cell, A: MagneticPotential | None) -> np.ndarray | None:
+    """The samples of ``A``, or ``None`` for a vanishing potential; ``A`` must live on ``cell``."""
+    if A is not None and A.cell != cell:
+        raise CellMismatchError("spinor and vector potential live on different cells")
+    return None if A is None or A.is_zero() else A.A.values
 
 
-def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, m: _Multiplier) -> np.ndarray:
-    """``(1/2)(p^2 + A . p + p . A) X + M X`` for ``X`` of shape (..., n, n, n).
+def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, w: np.ndarray | None) -> np.ndarray:
+    """``(1/2)(p^2 + A . p + p . A) X + w X`` for ``X`` of shape (..., n, n, n).
 
-    The one kinetic kernel.  Every leading axis of ``X`` (orbitals,
-    spin) is a batch axis.  ``half_a`` and the pointwise multiplier
-    ``M`` come from :func:`_pointwise`; ``half_a = None`` means A = 0.
-    One forward transform of X and three inverse transforms of
-    ``k_i c`` give ``A . p``; three forward transforms of ``A_i X`` are
-    weighted by ``k_i`` and added to ``|k|^2 c`` so a single inverse
-    transform returns ``p^2`` and ``p . (A .)`` together.  That is 8
-    transforms per component with A and 2 without.  ``A . p`` and
-    ``p . A`` are mutual adjoints on the discrete torus, so the
-    operator is Hermitian to roundoff.
+    The expansion kernel: every leading axis of ``X`` (orbitals, spin)
+    is a batch axis, ``half_a`` is ``A/2`` (``None`` means A = 0) and
+    ``w`` a real pointwise multiplier (``None`` for none, with A = 0
+    only).  One forward
+    transform of X and three inverse transforms of ``k_i c`` give
+    ``A . p``; three forward transforms of ``A_i X`` are weighted by
+    ``k_i`` and added to ``|k|^2 c`` so a single inverse transform
+    returns ``p^2`` and ``p . (A .)`` together.  That is 8 transforms
+    per component with A and 2 without.  ``A . p`` and ``p . A`` are
+    mutual adjoints on the discrete torus, so the operator is Hermitian
+    to roundoff.
     """
     c = cell.to_spectral(X)
     if half_a is None:
         c *= 0.5 * cell.k2_full
         out = cell.from_spectral(c)
-        if m is not None:
-            _sigma_dot(m, X, out, c)
+        if w is not None:
+            out += np.multiply(w, X, out=c)
         return out
     k = cell.k
     tmp = np.empty_like(c)
@@ -200,7 +208,7 @@ def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, m: _Multiplie
             near = grad
         else:
             near += grad
-    _sigma_dot(m, X, near, tmp)
+    near += np.multiply(w, X, out=tmp)
     c *= 0.5 * cell.k2_full
     for i in range(3):
         flux = cell.to_spectral(np.multiply(X, half_a[i], out=tmp))
@@ -210,100 +218,118 @@ def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, m: _Multiplie
     return near
 
 
-def _pointwise(
-    cell: Cell, A: MagneticPotential | None, v: np.ndarray | None = None, spin: bool = True
-) -> tuple[np.ndarray | None, _Multiplier]:
-    """Pointwise data of :func:`_kinetic` for the potential ``A`` and a real multiplier ``v``.
+#: a real vector field ``v`` as the entries ``(v_z, v_x + i v_y, v_x - i v_y)``
+#: of the Hermitian 2x2 matrix ``sigma . v`` (see :func:`_sigma_dot`)
+_Sigma = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Returns ``(A/2, M)`` with ``A/2 = None`` for a vanishing ``A``.
-    ``M`` is ``|A|^2/2 + v``, or for spinors (``spin``) the entries of
-    the Hermitian 2x2 multiplier ``|A|^2/2 + v + sigma . B/2`` in the
-    layout of :func:`_sigma_dot`.
+
+def _sigma_entries(v: np.ndarray) -> _Sigma:
+    """The entries of ``sigma . v`` for ``v`` of shape (3, n, n, n); ``v_z`` is a view."""
+    plus = v[0] + 1j * v[1]
+    return v[2], plus, plus.conj()
+
+
+def _sigma_dot(s: _Sigma, x: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Write ``(sigma . v) x`` into ``out`` and return it.
+
+    ``s`` holds the entries of ``sigma . v = [[v_z, v_x - i v_y], [v_x + i v_y, -v_z]]``,
+    which acts on the spin axis (-4) of ``x``.  ``buf`` has the shape of
+    one spin component and is overwritten, so nothing is allocated.
     """
-    if A is not None and A.cell != cell:
-        raise CellMismatchError("spinor and vector potential live on different cells")
-    if A is None or A.is_zero():
-        return None, v
-    a = A.A.values
-    half_a = 0.5 * a
-    w = np.sum(half_a * a, axis=0)
+    vz, plus, minus = s
+    up, dn = x[..., 0, :, :, :], x[..., 1, :, :, :]
+    out_up, out_dn = out[..., 0, :, :, :], out[..., 1, :, :, :]
+    np.multiply(vz, up, out=out_up)
+    out_up += np.multiply(minus, dn, out=buf)
+    np.multiply(plus, up, out=out_dn)
+    out_dn -= np.multiply(vz, dn, out=buf)
+    return out
+
+
+def _add_nyquist(cell: Cell, c: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Add ``scale (k2_full - k2) c`` to the series ``out``.
+
+    ``cell.k`` is zeroed on the Nyquist planes, so ``(sigma . k)^2 = k2``
+    misses ``(pi / spacing)^2`` for every axis on which a mode sits at
+    the Nyquist index; only those planes are touched.
+    """
+    k2_nyquist = scale * (np.pi / cell.spacing) ** 2
+    for axis in range(3):
+        plane = (Ellipsis, cell.n // 2) + (slice(None),) * (2 - axis)
+        out[plane] += k2_nyquist * c[plane]
+
+
+def _half_square(cell: Cell, X: np.ndarray, k: _Sigma, a: _Sigma, v: np.ndarray | None) -> np.ndarray:
+    """``(1/2) D^2 X + v X`` with ``D = sigma . (p + A)``, for ``X`` of shape (..., 2, n, n, n).
+
+    ``k`` and ``a`` are the entries of ``sigma . k`` and ``sigma . A``
+    scaled by ``1/sqrt(2)``, so ``D/sqrt(2)`` is applied twice: each
+    time one forward transform, ``sigma . k`` in Fourier space, one
+    inverse transform and ``sigma . A`` on the grid.  That is 4
+    transforms per component.  The Nyquist term joins the second series,
+    so A = 0 gives ``(1/2) k2_full`` exactly as the A = 0 kernel does.
+    """
+    c = cell.to_spectral(X)
+    s, buf = np.empty_like(c), np.empty_like(c[..., 0, :, :, :])
+    phi = cell.from_spectral(_sigma_dot(k, c, s, buf))
+    phi += _sigma_dot(a, X, s, buf)
+    _sigma_dot(k, cell.to_spectral(phi), s, buf)
+    _add_nyquist(cell, c, s, 0.5)
+    out = cell.from_spectral(s)
+    out += _sigma_dot(a, phi, s, buf)
     if v is not None:
-        w += v
-    if not spin:
-        return half_a, w
-    bx, by, bz = 0.5 * A.B.values
-    return half_a, (w + bz, w - bz, bx - 1j * by, bx + 1j * by)
-
-
-def _sigma_dot(m: _Multiplier, psi_values: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
-    """Add the pointwise multiplier ``m`` times ``psi_values`` to ``out``.
-
-    ``m`` is a real array, or the entries ``(m0, m1, m2, m3)`` of the
-    2x2 matrix ``[[m0, m2], [m3, m1]]`` acting on the spin axis (-4);
-    ``(w + v_z, w - v_z, v_x - i v_y, v_x + i v_y)`` gives
-    ``(w + sigma . v) psi``.  ``buf`` (the shape of ``out``) is
-    overwritten, so nothing is allocated.
-    """
-    if not isinstance(m, tuple):
-        out += np.multiply(m, psi_values, out=buf)
-        return
-    up, dn = psi_values[..., 0, :, :, :], psi_values[..., 1, :, :, :]
-    s_diag, s_cross = buf[..., 0, :, :, :], buf[..., 1, :, :, :]
-    for spin, diag, cross, same, other in ((0, m[0], m[2], up, dn), (1, m[1], m[3], dn, up)):
-        row = out[..., spin, :, :, :]
-        row += np.multiply(diag, same, out=s_diag)
-        row += np.multiply(cross, other, out=s_cross)
+        out += np.multiply(v, X, out=s)
+    return out
 
 
 def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential | None):
     """Return a batched apply for H = (1/2)[sigma.(p+A)]^2 + v_eff.
 
     The callable maps arrays of shape (m, 2, n, n, n) to arrays of the
-    same shape, at 8 transforms per spinor component when A != 0 and 2
-    when A = 0.  The pointwise data is built once, here.
+    same shape.  With A != 0 it applies the root ``sigma . (p + A)``
+    twice, at 4 transforms per spinor component; with A = 0 it applies
+    ``(1/2) p^2`` at 2.  The pointwise data is built once, here.
     """
-    half_a, m = _pointwise(cell, A, None if v_eff is None else v_eff.values)
-
-    def apply_h(X: np.ndarray) -> np.ndarray:
-        return _kinetic(cell, X, half_a, m)
-
-    return apply_h
+    a = _vector_potential(cell, A)
+    v = None if v_eff is None else v_eff.values
+    if a is None:
+        return lambda X: _kinetic(cell, X, None, v)
+    k, a = _sigma_entries(np.sqrt(0.5) * cell.k), _sigma_entries(np.sqrt(0.5) * a)
+    return lambda X: _half_square(cell, X, k, a, v)
 
 
 def apply_magnetic_laplacian(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
-    """Apply ``(p + A)^2`` to a spinor."""
-    return SpinorField(psi.cell, 2.0 * _kinetic(psi.cell, psi.values, *_pointwise(psi.cell, A, spin=False)))
+    """Apply ``(p + A)^2`` to a spinor, through the spin-free expansion kernel."""
+    a = _vector_potential(psi.cell, A)
+    half_a, w = (None, None) if a is None else (0.5 * a, 0.5 * np.sum(a * a, axis=0))
+    return SpinorField(psi.cell, 2.0 * _kinetic(psi.cell, psi.values, half_a, w))
 
 
 def apply_sigma_kinetic_root(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
-    """Apply the first-order operator ``sigma . (p + A)`` to a spinor.
+    """Apply the first-order operator ``D = sigma . (p + A)`` to a spinor.
 
-    One axis at a time: ``(p_i + A_i) psi`` is formed and contracted with
-    ``sigma_i`` into the output, every temporary in one buffer, so no
-    (3, 2, n, n, n) block is built.
+    One forward transform, ``sigma . k`` in Fourier space and one
+    inverse transform give ``sigma . p psi``; ``sigma . A psi`` is added
+    on the grid.  That is 4 transforms per spinor.
     """
     cell = psi.cell
-    if A is not None and A.cell != cell:
-        raise CellMismatchError("spinor and vector potential live on different cells")
-    a = None if A is None or A.is_zero() else A.A.values
+    a = _vector_potential(cell, A)
     c = psi.spectral()
-    out = np.zeros_like(c)
-    tmp = np.empty_like(c)
-    for i in range(3):
-        v = cell.from_spectral(np.multiply(c, cell.k[i], out=tmp))  # p_i psi = -i d_i psi
-        if a is not None:
-            v += np.multiply(psi.values, a[i], out=tmp)
-        out += np.matmul(PAULI[i], v.reshape(2, -1), out=tmp.reshape(2, -1)).reshape(out.shape)
-        del v
+    s, buf = np.empty_like(c), np.empty_like(c[0])
+    out = cell.from_spectral(_sigma_dot(_sigma_entries(cell.k), c, s, buf))
+    del c  # frees the room the sigma . A entries take, so the peak stays at 3.5 spinors
+    if a is not None:
+        out += _sigma_dot(_sigma_entries(a), psi.values, s, buf)
     return SpinorField(cell, out)
 
 
 def apply_pauli_kinetic(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
     """Apply the Pauli kinetic operator ``(1/2) [sigma . (p + A)]^2``.
 
-    Uses the expansion ``(1/2)(p + A)^2 + (1/2) sigma . B``.
+    The single-spinor form of :func:`make_hamiltonian`: 8 transforms
+    with A != 0, 2 with A = 0.
     """
-    return SpinorField(psi.cell, _kinetic(psi.cell, psi.values, *_pointwise(psi.cell, A)))
+    return SpinorField(psi.cell, make_hamiltonian(psi.cell, None, A)(psi.values))
 
 
 def _nuclear_spectral(spec: SystemSpec, s_nuc: float) -> np.ndarray:

@@ -186,7 +186,8 @@ def test_total_energy_matches_dense_contraction():
     V = external_potential(spec)
     breakdown = total_energy(gamma, A, spec, V=V)
 
-    # kinetic via the first-order operator (independent of the expansion)
+    # kinetic as half the squared norm of the first-order root (the
+    # band-limited orbital has no Nyquist content)
     root = apply_sigma_kinetic_root(orbs[0], A)
     kinetic_oracle = eps * 0.5 * root.norm() ** 2
     assert abs(breakdown.kinetic - kinetic_oracle) < 1e-10 * max(abs(kinetic_oracle), 1.0)

@@ -75,15 +75,15 @@ def test_free_plane_wave():
 
 
 def test_operator_composition_oracle():
-    # applying sigma.(p+A) twice and halving must match the expanded form
-    rng = np.random.default_rng(10)
-    psi = bandlimited_spinor(CELL, rng, 0.3)
-    A = _random_potential(CELL, rng, 0.3)
-    once = apply_sigma_kinetic_root(psi, A)
-    twice = apply_sigma_kinetic_root(once, A)
-    via_expansion = apply_pauli_kinetic(psi, A)
-    scale = np.abs(via_expansion.values).max()
-    assert np.abs(0.5 * twice.values - via_expansion.values).max() < 1e-10 * scale
+    # applying sigma.(p+A) twice and halving, plus the Nyquist share of
+    # |k|^2 that the zeroed derivative vectors drop, is the Pauli kernel
+    # on any input, resolved or not
+    cell, A, X = _small_magnetic_problem()
+    psi = SpinorField(cell, X[0])
+    twice = apply_sigma_kinetic_root(apply_sigma_kinetic_root(psi, A), A)
+    want = 0.5 * twice.values + _nyquist_term(cell, psi.values)
+    got = apply_pauli_kinetic(psi, A).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_kinetic_hermitian_quadratic_form():
@@ -143,17 +143,77 @@ def _small_magnetic_problem(seed=31):
     return cell, A, X
 
 
+def _root_oracle(cell, X, a):
+    """sigma.(p+A) X one axis at a time, each Pauli matrix applied by einsum."""
+    c = cell.to_spectral(X)
+    return sum(
+        np.einsum("st,...tijk->...sijk", PAULI[i], cell.from_spectral(cell.k[i] * c) + a[i] * X)
+        for i in range(3)
+    )
+
+
+def _nyquist_term(cell, X):
+    """(1/2)(k2_full - k2) X: what the Nyquist-zeroed derivative vectors leave out of p^2."""
+    return cell.from_spectral(0.5 * (cell.k2_full - cell.k2) * cell.to_spectral(X))
+
+
+def _half_square_oracle(cell, X, a):
+    """(1/2)[sigma.(p+A)]^2 X from the per-axis root, plus the Nyquist term."""
+    return 0.5 * _root_oracle(cell, _root_oracle(cell, X, a), a) + _nyquist_term(cell, X)
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def test_kinetic_kernel_matches_four_term_expansion():
+    # the spin-free kernel is the expansion on any input; the Pauli kernel
+    # equals the expansion with sigma.B/2 where products do not alias
     cell, A, X = _small_magnetic_problem()
-    lap, pauli = _four_term_oracle(cell, X, A)
-
-    def rel(got, want):
-        return np.abs(got - want).max() / np.abs(want).max()
-
-    assert rel(make_hamiltonian(cell, None, A)(X), pauli) <= 1e-13
     psi = SpinorField(cell, X[1])
-    assert rel(apply_pauli_kinetic(psi, A).values, pauli[1]) <= 1e-13
-    assert rel(apply_magnetic_laplacian(psi, A).values, lap[1]) <= 1e-13
+    lap, _ = _four_term_oracle(cell, X, A)
+    assert _rel(apply_magnetic_laplacian(psi, A).values, lap[1]) <= 1e-13
+    rng = np.random.default_rng(32)
+    A = MagneticPotential(helmholtz_project(bandlimited_vector(cell, rng)))
+    X = np.stack([bandlimited_spinor(cell, rng).values for _ in range(3)])
+    _, pauli = _four_term_oracle(cell, X, A)
+    assert _rel(make_hamiltonian(cell, None, A)(X), pauli) <= 1e-13
+    assert _rel(apply_pauli_kinetic(SpinorField(cell, X[1]), A).values, pauli[1]) <= 1e-13
+
+
+def test_pauli_kernel_matches_per_axis_half_square():
+    # on unresolved input the kernel is (1/2)[sigma.(p+A)]^2 of the grid
+    # root, not the continuum expansion: sigma.B aliases there
+    cell, A, X = _small_magnetic_problem()
+    want = _half_square_oracle(cell, X, A.A.values)
+    v = ScalarField(cell, np.random.default_rng(33).standard_normal((8,) * 3))
+    assert _rel(make_hamiltonian(cell, None, A)(X), want) <= 1e-13
+    assert _rel(make_hamiltonian(cell, v, A)(X), want + v.values * X) <= 1e-13
+    assert _rel(apply_pauli_kinetic(SpinorField(cell, X[1]), A).values, want[1]) <= 1e-13
+
+
+def test_pauli_kernel_is_half_the_square_norm_of_its_root():
+    # <psi, T_A psi> = (1/2)||sigma.(p+A) psi||^2 + the Nyquist term, so the
+    # grid operator is nonnegative on every spinor, however rough
+    cell, A, X = _small_magnetic_problem()
+    rng = np.random.default_rng(34)
+    nyquist = 0.5 * (cell.k2_full - cell.k2) * cell.volume
+    for values in (*X, *(rng.standard_normal((2,) + (8,) * 3) + 1j * rng.standard_normal((2,) + (8,) * 3)
+                         for _ in range(20))):
+        psi = SpinorField(cell, values)
+        q = inner(psi, apply_pauli_kinetic(psi, A))
+        want = 0.5 * apply_sigma_kinetic_root(psi, A).norm() ** 2 + np.sum(nyquist * np.abs(psi.spectral()) ** 2)
+        assert abs(q - want) <= 1e-13 * want
+        assert q.real >= 0.0
+
+
+def test_sigma_root_matches_per_axis_oracle():
+    cell, A, X = _small_magnetic_problem()
+    psi = SpinorField(cell, X[2])
+    assert _rel(apply_sigma_kinetic_root(psi, A).values, _root_oracle(cell, X[2], A.A.values)) <= 1e-13
+    free = _root_oracle(cell, X[2], np.zeros((3,) + (8,) * 3))
+    assert _rel(apply_sigma_kinetic_root(psi, None).values, free) <= 1e-13
+    assert _rel(apply_sigma_kinetic_root(psi, MagneticPotential.zero(cell)).values, free) <= 1e-13
 
 
 @pytest.fixture
@@ -178,14 +238,21 @@ def transforms(monkeypatch):
 
 
 def test_kinetic_transform_counts(transforms):
-    # the FFT count of an apply is fixed by the algorithm: 8 scalar
-    # transforms per spinor component with A != 0, 2 with A = 0
+    # the FFT count of an apply is fixed by the algorithm: 4 scalar
+    # transforms per spinor component with A != 0 (the root twice), 2
+    # with A = 0, 8 for the spin-free expansion and 2 for the root; the
+    # build reads no B = curl A
     cell, A, X = _small_magnetic_problem()
     components = X.shape[0] * X.shape[1]
-    assert transforms(make_hamiltonian(cell, None, A), X) == 8 * components
+    fresh = MagneticPotential(A.A, check_gauge=False)
+    assert transforms(lambda: make_hamiltonian(cell, None, fresh)(X)) == 4 * components
     assert transforms(make_hamiltonian(cell, None, None), X) == 2 * components
     assert transforms(make_hamiltonian(cell, None, MagneticPotential.zero(cell)), X) == 2 * components
-    assert transforms(apply_pauli_kinetic, SpinorField(cell, X[0]), A) == 16
+    psi = SpinorField(cell, X[0])
+    assert transforms(apply_pauli_kinetic, psi, A) == 8
+    assert transforms(apply_magnetic_laplacian, psi, A) == 16
+    assert transforms(apply_sigma_kinetic_root, psi, A) == 4
+    assert transforms(apply_sigma_kinetic_root, psi, None) == 4
 
 
 def test_gauge_covariance_fixed_field():

@@ -1,6 +1,7 @@
 """Analytic zero-mode family, thresholds and the dilation instability."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from magrhf.fields import Cell, SpinorField, VectorField
-from magrhf.hamiltonian import MagneticPotential, apply_sigma_kinetic_root
+from magrhf.hamiltonian import PAULI, MagneticPotential, apply_sigma_kinetic_root
 from magrhf.zeromodes import (
     CROSS_SIGN,
     SPINOR_CONJ,
@@ -122,6 +123,36 @@ def test_grid_residual_small_and_decreasing(fam):
     cells = [Cell(40.0, n) for n in (24, 32, 48)]
     residuals = [grid_residual(fam, c) for c in cells]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_grid_residual_matches_the_per_axis_root(fam):
+    # the root as one series (sigma . k) c agrees with the sum over axes of
+    # sigma_i (p_i + A_i) psi, each derivative transformed on its own
+    for n in (24, 48):
+        cell = Cell(40.0, n)
+        psi, pot = sample_on_cell(fam, cell)
+        c = psi.spectral()
+        per_axis = sum(
+            np.einsum("st,tijk->sijk", PAULI[i], cell.from_spectral(cell.k[i] * c) + pot.A.values[i] * psi.values)
+            for i in range(3)
+        )
+        want = SpinorField(cell, per_axis).norm() / psi.norm()
+        assert abs(grid_residual(fam, cell) - want) <= 1e-14 * want
+
+
+def test_sigma_root_memory_on_the_sampled_pair(fam):
+    # one call holds the spectrum, one work block and half a block of
+    # buffers, the sigma . k entries and its output: 3.5 spinors at most
+    cell = Cell(40.0, 48)
+    psi, pot = sample_on_cell(fam, cell)
+    cell.k  # cached once per cell, outside the measurement
+    tracemalloc.start()
+    try:
+        apply_sigma_kinetic_root(psi, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * psi.values.nbytes
 
 
 def test_sampled_pair_matches_analytic_profile(fam):
