@@ -288,7 +288,9 @@ def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential
     The callable maps arrays of shape (m, 2, n, n, n) to arrays of the
     same shape.  With A != 0 it applies the root ``sigma . (p + A)``
     twice, at 4 transforms per spinor component; with A = 0 it applies
-    ``(1/2) p^2`` at 2.  The pointwise data is built once, here.
+    ``(1/2) p^2`` at 2 per component, to any number of components (the
+    scalar rows (m, 1, n, n, n) of the SCF's spin-block solve).  The
+    pointwise data is built once, here.
     """
     a = _vector_potential(cell, A)
     v = None if v_eff is None else v_eff.values

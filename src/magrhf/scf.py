@@ -11,7 +11,9 @@ with the Fermi level chosen so the occupations sum to the electron
 count.  The loop alternates a preconditioned block eigensolve, aufbau
 filling, one spectral solve of the linear field equation (with the
 ``A rho`` term lagged), Anderson mixing of the density and linear
-mixing of the potential.
+mixing of the potential.  At A = 0 the operator is ``h (x) 1``: with a
+positive ``deg_threshold`` the eigensolve finds the levels of the scalar
+``h`` once, on half the block, and pairs them into spinors.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -95,7 +97,10 @@ class SCFConfig:
 
     ``mix`` in (0, 1] is the Anderson mixing fraction of the density and
     the linear mixing fraction of the vector potential;
-    ``deg_threshold`` >= 0 groups levels into a degenerate Fermi shell;
+    ``deg_threshold`` >= 0 groups levels into a degenerate Fermi shell
+    (and, when positive, lets an A = 0 evaluation take the spin-block
+    solve, whose paired levels are equal; at 0 it keeps the spinor solve,
+    whose roundoff-split pairs the fill may polarise);
     ``eig_block`` must hold the occupied levels (:meth:`check_block`).
     ``pin_A`` freezes the vector potential at zero (the decoupled,
     non-magnetic limit).
@@ -344,31 +349,53 @@ _lobpcg = eigensolve
 _build_hamiltonian = make_hamiltonian
 
 
-def _coarse_start(v_eff: ScalarField, count: int, block: int, tol: float, seed: int) -> np.ndarray | None:
+def _coarse_start(
+    v_eff: ScalarField, count: int, block: int, tol: float, seed: int, components: int
+) -> np.ndarray | None:
     """Start block of a cold eigensolve: Ritz vectors of the same mean field on the half grid.
 
     The two-grid idea (Xu & Zhou, Math. Comp. 70 (2001) 17): ``v_eff`` is
     restricted to ``Cell(L, 2 ceil(n/4))`` by Fourier truncation, the A = 0
-    Hamiltonian there is solved for ``block`` spinor pairs to ``tol``, and
-    its Ritz vectors, zero-padded to the fine grid, are orthonormal there
-    by Parseval.  ``None`` (the random start) when the half grid has fewer
-    than 4 points per axis or too few unknowns for the three-block LOBPCG
-    basis, or when its solve fails.
+    Hamiltonian there is solved for ``block`` rows of ``components``
+    components to ``tol`` (the scalar rows of the spin-block solve, or
+    spinors), and its Ritz vectors, zero-padded to the fine grid, are
+    orthonormal there by Parseval.  ``None`` (the random start) when the
+    half grid has fewer than 4 points per axis or too few unknowns for the
+    three-block LOBPCG basis, or when its solve fails.
     """
     cell = v_eff.cell
     n_c = 2 * math.ceil(cell.n / 4)
-    if n_c < 4 or 2 * n_c**3 < 3 * block:
+    if n_c < 4 or components * n_c**3 < 3 * block:
         return None
     coarse = Cell(cell.L, n_c)
     v_c = ScalarField(coarse, restrict(cell, v_eff.values, coarse).real)
     try:
         _, X, *_ = _lobpcg(
             _build_hamiltonian(coarse, v_c, None), coarse, count, block=block, tol=tol,
-            max_iter=EIG_MAXITER, seed=seed,
+            max_iter=EIG_MAXITER, seed=seed, components=components,
         )
     except EigensolveError:
         return None
     return prolong(coarse, X, cell)
+
+
+def _spin_pairs(X: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` of the spinors ``phi (x) up, phi (x) down`` of the scalar rows
+    ``X`` (m, 1, n, n, n), pair by pair."""
+    out = np.zeros((rows, 2) + X.shape[2:], dtype=X.dtype)
+    out[0::2, 0] = X[:(rows + 1) // 2, 0]
+    out[1::2, 1] = X[:rows // 2, 0]
+    return out
+
+
+def _spatial_rows(cell: Cell, X: np.ndarray, rows: int) -> np.ndarray:
+    """Scalar rows (k, 1, n, n, n), k <= ``rows``, from the spinor rows ``X``: the span of
+    their components, whitened, keeping its ``rows`` directions of largest weight."""
+    comps = X.reshape(-1, X[0, 0].size)
+    vals, vecs = np.linalg.eigh(_gram(cell, comps, comps))
+    keep = vals > 1e-12 * max(vals[-1], 1e-300)
+    vals, vecs = vals[keep][::-1][:rows], vecs[:, keep][:, ::-1][:, :rows]
+    return ((vecs / np.sqrt(vals)).T @ comps).reshape((len(vals), 1) + X.shape[2:])
 
 
 def fermi_fill(
@@ -644,7 +671,7 @@ class _Iterate:
     rho: ScalarField
     A: MagneticPotential
     gamma: DensityMatrix
-    orbitals: np.ndarray
+    start: np.ndarray  # the eigensolver's own block (scalar or spinor rows): the next warm start
     levels: np.ndarray
     fermi: float
     rho_out: ScalarField
@@ -669,7 +696,18 @@ def scf_solve(
     (A = 0): the first eigensolve starts from the Ritz vectors of the
     first mean field on the half grid ``Cell(L, 2 ceil(n/4))`` (see
     :func:`_coarse_start`), or from random vectors where that grid is
-    too small or its solve fails.  A potential the field solve
+    too small or its solve fails.
+
+    An evaluation at A = 0 with ``deg_threshold > 0`` solves the scalar
+    ``h`` of ``H = h (x) 1`` on ``ceil(block/2)`` rows for ``ceil(count/2)``
+    pairs; each ``phi`` becomes the spinors ``phi (x) up`` and
+    ``phi (x) down`` with its level and ``H phi`` repeated, truncated to
+    the spinor block.  Any other evaluation (A != 0, or
+    ``deg_threshold = 0``, where the fill must see the roundoff that
+    splits a spinor pair in order to polarise) solves the spinor block.
+    Each evaluation is warm-started from the previous eigensolver block;
+    a block of the other form is converted (:func:`_spin_pairs`,
+    :func:`_spatial_rows`).  A potential the field solve
     could not tell from zero (see :func:`_snap_zero`) is replaced by an
     exact zero: the warm start, each field-solve output and each mixed
     potential.
@@ -710,13 +748,22 @@ def scf_solve(
     def evaluate(rho: ScalarField, A: MagneticPotential, X0) -> _Iterate:
         v_h, _ = hartree(rho)
         v_eff = ScalarField(cell, V.values + v_h.values)
+        # H = h (x) 1 at A = 0: solve h once, on half the block (see the docstring for deg_threshold = 0)
+        spin_block = A.is_zero() and config.deg_threshold > 0
+        comps, b, c = (1, (block + 1) // 2, (count + 1) // 2) if spin_block else (2, block, count)
         if X0 is None:  # the cold start, where A = 0
-            X0 = _coarse_start(v_eff, count, block, schedule.tol, config.seed)
-        apply_h = make_hamiltonian(cell, v_eff, A)
-        levels, orbitals, _, _, h_orbitals = eigensolve(
-            apply_h, cell, count, block=block, tol=schedule.tol,
-            max_iter=EIG_MAXITER, X0=X0, seed=config.seed,
+            X0 = _coarse_start(v_eff, c, b, schedule.tol, config.seed, comps)
+        elif X0.shape[1] != comps:
+            X0 = _spatial_rows(cell, X0, b) if spin_block else _spin_pairs(X0, b)
+        levels, start, _, _, h_orbitals = eigensolve(
+            make_hamiltonian(cell, v_eff, A), cell, c, block=b, tol=schedule.tol,
+            max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps,
         )
+        orbitals = start
+        if spin_block:  # phi (x) up and phi (x) down, truncated to the rows a spinor solve returns
+            rows = max(block, 2)
+            levels = np.repeat(levels, 2)[:rows]
+            orbitals, h_orbitals = _spin_pairs(start, rows), _spin_pairs(h_orbitals, rows)
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
         gamma = DensityMatrix(
             tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
@@ -736,7 +783,7 @@ def scf_solve(
             res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
         return _Iterate(
-            rho, A, gamma, orbitals, levels, fermi, rho_out, A_out,
+            rho, A, gamma, start, levels, fermi, rho_out, A_out,
             energy=total_energy(gamma, A, spec, V=V),
             residuals=(res_orb, res_field, _continuity_residual(rho_out, j, A)),
             audit=kinetic_inequality_report(gamma, A),
@@ -787,7 +834,7 @@ def scf_solve(
 
         rho_in = mixer.push(cand.rho, cand.rho_out)
         A_in = mix_A(cand.A, cand.A_out, config.mix, rho_in)
-        X_warm = cand.orbitals
+        X_warm = cand.start
 
     return finish(last, regime_flag or "not_converged")
 

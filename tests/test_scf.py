@@ -3,6 +3,7 @@ self-consistent loop."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_eigensolve_scalar_block_matches_dense_oracle():
     assert orbs.shape == (6, 1, 6, 6, 6)
     assert np.all(res[:4] <= 1e-11)
     assert np.abs(levels[:4] - ref[:4]).max() < 1e-9
+
+
+def test_eigensolve_scalar_levels_pair_the_spinor_levels():
+    # at A = 0 the spinor operator is h (x) 1: the scalar solve of h on half
+    # the block, its levels repeated, gives the levels of the spinor solve
+    # (which keeps the 2-component A = 0 apply exercised)
+    cell = Cell(6.0, 8)
+    v = ScalarField(cell, np.random.default_rng(11).standard_normal((8,) * 3))
+    apply_h = make_hamiltonian(cell, v, None)
+    spinor, _, res2, _, _ = eigensolve(apply_h, cell, 6, block=8, tol=1e-11, seed=0, max_iter=600)
+    scalar, orbs, res1, _, _ = eigensolve(apply_h, cell, 3, block=4, tol=1e-11, seed=0, max_iter=600, components=1)
+    assert orbs.shape == (4, 1, 8, 8, 8)
+    assert np.all(res2[:6] <= 1e-11) and np.all(res1[:3] <= 1e-11)
+    assert np.abs(np.repeat(scalar, 2)[:6] - spinor[:6]).max() <= 1e-12
 
 
 def test_eigensolve_zero_mode_level_drops_under_refinement():
@@ -590,7 +605,8 @@ def test_scf_cold_start_solves_the_half_grid_first(monkeypatch):
 @pytest.mark.parametrize("n, block, coarse", [(4, None, False), (6, None, True), (6, 43, False)])
 def test_scf_cold_start_on_small_grids(monkeypatch, n, block, coarse):
     # n = 4 has no half grid (2 points per axis); at n = 6 the 4^3 half
-    # grid holds 2 * 64 = 128 unknowns, too few for 3 blocks of 43
+    # grid holds 64 unknowns of the spin-block solve, too few for 3 blocks
+    # of ceil(43 / 2) = 22 scalar rows
     coarse_grids: list[int] = []
     original = scf._lobpcg
 
@@ -616,6 +632,95 @@ def test_scf_cold_start_falls_back_when_the_coarse_solve_fails(monkeypatch):
     state = scf_solve(_unpolarised_h(), SCFConfig(tol=1e-7, seed=0))
     assert state.converged
     assert calls[0][0] is None
+
+
+def _record_solves(monkeypatch, name: str) -> list[dict]:
+    """Patch ``scf.<name>`` to record the arguments, start block and result of each call."""
+    calls: list[dict] = []
+    original = getattr(scf, name)
+
+    def recorded(*args, X0=None, **kwargs):
+        out = original(*args, X0=X0, **kwargs)
+        calls.append({"args": args, "kwargs": kwargs, "X0": X0, "levels": out[0], "orbitals": out[1],
+                      "iterations": out[3]})
+        return out
+
+    monkeypatch.setattr(scf, name, recorded)
+    return calls
+
+
+def _pinned_he() -> tuple[SystemSpec, SCFConfig]:
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.02)
+    return spec, SCFConfig(tol=1e-8, pin_A=True, seed=0)
+
+
+@pytest.mark.parametrize("case", ["zero_A", "zero_deg_threshold", "nonzero_A"])
+def test_scf_selects_the_spin_block_solve(monkeypatch, case):
+    # H fills 1 level of a block of 4 spinors; at A = 0 with deg_threshold > 0
+    # the fine and the half-grid solve run on 2 scalar rows, else on 4 spinors
+    spec, initial = _unpolarised_h(), None
+    if case == "nonzero_A":
+        spec = replace(spec, alpha=0.2)
+        polarised = scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=2, seed=0))
+        assert not polarised.A.is_zero()
+        initial = (polarised.gamma, polarised.A)
+    fine, coarse = _record_solves(monkeypatch, "eigensolve"), _record_solves(monkeypatch, "_lobpcg")
+    cfg = SCFConfig(tol=1e-6, deg_threshold=0.0 if case == "zero_deg_threshold" else 1e-6, max_iter=1, seed=0)
+    state = scf_solve(spec, cfg, initial=initial)
+    components, rows = (1, 2) if case == "zero_A" else (2, 4)
+    for call in fine + coarse:
+        assert (call["kwargs"]["components"], call["kwargs"]["block"]) == (components, rows)
+        assert call["orbitals"].shape[:2] == (rows, components)
+    assert fine[0]["X0"].shape[:2] == (rows, components)
+    assert len(coarse) == (initial is None)
+    # the state carries spinors and their levels either way
+    assert len(state.levels) == len(state.gamma.orbitals) == 4
+
+
+def test_scf_spin_block_matches_spinor_solve():
+    # the oracle of the spin-block solve is the 2-component solve of the same
+    # A = 0 operator, which deg_threshold = 0 selects
+    spec, cfg = _pinned_he()
+    block = scf_solve(spec, cfg)
+    spinor = scf_solve(spec, replace(cfg, deg_threshold=0.0))
+    assert block.converged and spinor.converged
+    assert abs(block.energy.total - spinor.energy.total) <= 1e-12 * abs(spinor.energy.total)
+    rho, rho_spinor = density(block.gamma).values, density(spinor.gamma).values
+    assert np.abs(rho - rho_spinor).max() <= 1e-10
+    # the 4 converged levels: exact pairs, and the spinor levels to the eigensolver tolerance
+    assert np.array_equal(block.levels[0:4:2], block.levels[1:4:2])
+    assert np.abs(block.levels[:4] - spinor.levels[:4]).max() <= 1e-9
+
+
+def test_scf_spin_block_warm_starts_from_a_spinor_state(monkeypatch):
+    # He's block of 5 spinor orbitals from a deg_threshold = 0 run becomes 3
+    # scalar rows: the whitened span of their components, its 3 largest directions
+    spec, cfg = _pinned_he()
+    spinor = scf_solve(spec, replace(cfg, deg_threshold=0.0))
+    cold = scf_solve(spec, cfg)
+    calls = _record_solves(monkeypatch, "eigensolve")
+    warm = scf_solve(spec, cfg, initial=(spinor.gamma, spinor.A))
+    assert warm.converged
+    assert abs(warm.energy.total - cold.energy.total) <= 1e-12 * abs(cold.energy.total)
+    first = calls[0]
+    assert first["kwargs"]["components"] == 1 and first["X0"].shape[:2] == (3, 1)
+    assert first["iterations"] <= 3
+
+
+def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
+    # three electrons fill a block of three spinors, phi_0 up and down and
+    # phi_1 up: the first iterate polarises, and the second solve, at A != 0,
+    # starts from the spinor pairs of the first solve's scalar rows
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(3.0, (4.0,) * 3),), N=3.0, alpha=0.2)
+    calls = _record_solves(monkeypatch, "eigensolve")
+    scf_solve(spec, SCFConfig(tol=1e-7, eig_block=3, max_iter=2, seed=0))
+    first, second = calls
+    assert first["kwargs"]["components"] == 1 and second["kwargs"]["components"] == 2
+    assert np.array_equal(second["X0"], scf._spin_pairs(first["orbitals"], 3))
+    # the paired start beats a random one on the same operator
+    random = eigensolve(*second["args"], **second["kwargs"])
+    assert np.abs(random[0][:2] - second["levels"][:2]).max() <= second["kwargs"]["tol"]
+    assert second["iterations"] < random[3]
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
