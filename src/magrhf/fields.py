@@ -112,6 +112,13 @@ class Cell:
         return k2
 
     @cached_property
+    def k2_half(self) -> np.ndarray:
+        """:attr:`k2_full` on the half spectrum of :meth:`to_half_spectral`, shape (n, n, n//2 + 1)."""
+        k2 = np.ascontiguousarray(self.k2_full[..., : self.n // 2 + 1])
+        k2.setflags(write=False)
+        return k2
+
+    @cached_property
     def inv_k2(self) -> np.ndarray:
         """1/|k|^2 (true moduli) with the k = 0 entry set to zero.
 
@@ -159,6 +166,19 @@ class Cell:
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         """Samples of the series with coefficients ``coeffs`` (the inverse of :meth:`to_spectral`)."""
         return scipy.fft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+
+    def to_half_spectral(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients of :meth:`to_spectral` with ``m_z >= 0`` (Nyquist included), for real ``values``.
+
+        Real samples have Hermitian coefficients, ``c_{-k} = conj(c_k)``, so
+        this half determines the rest; it costs about half a full transform.
+        """
+        return scipy.fft.rfftn(values, s=(self.n,) * 3, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+
+    def from_half_spectral(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples of the Hermitian series whose half spectrum is ``coeffs`` (the inverse of
+        :meth:`to_half_spectral`)."""
+        return scipy.fft.irfftn(coeffs, s=(self.n,) * 3, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -189,8 +189,18 @@ def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, w: np.ndarray
     returns ``p^2`` and ``p . (A .)`` together.  That is 8 transforms
     per component with A and 2 without.  ``A . p`` and ``p . A`` are
     mutual adjoints on the discrete torus, so the operator is Hermitian
-    to roundoff.
+    to roundoff.  Real rows at A = 0 (the scalar rows of the spin-block
+    solve) take the half-spectrum pair instead: ``|k|^2`` is even in
+    ``k``, so the result stays real and is the real part of the complex
+    path's.
     """
+    if half_a is None and np.isrealobj(X):
+        c = cell.to_half_spectral(X)
+        c *= 0.5 * cell.k2_half
+        out = cell.from_half_spectral(c)
+        if w is not None:
+            out += w * X
+        return out
     c = cell.to_spectral(X)
     if half_a is None:
         c *= 0.5 * cell.k2_full
@@ -288,9 +298,12 @@ def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential
     The callable maps arrays of shape (m, 2, n, n, n) to arrays of the
     same shape.  With A != 0 it applies the root ``sigma . (p + A)``
     twice, at 4 transforms per spinor component; with A = 0 it applies
-    ``(1/2) p^2`` at 2 per component, to any number of components (the
-    scalar rows (m, 1, n, n, n) of the SCF's spin-block solve).  The
-    pointwise data is built once, here.
+    ``(1/2) p^2`` at 2 per component, to any number of components.  The
+    A = 0 apply keeps the dtype of its rows: the real scalar rows
+    (m, 1, n, n, n) of the SCF's spin-block solve go through the
+    half-spectrum pair (:meth:`~magrhf.fields.Cell.to_half_spectral`),
+    complex rows through the full transforms.  The pointwise data is
+    built once, here.
     """
     a = _vector_potential(cell, A)
     v = None if v_eff is None else v_eff.values

@@ -13,7 +13,8 @@ filling, one spectral solve of the linear field equation (with the
 ``A rho`` term lagged), Anderson mixing of the density and linear
 mixing of the potential.  At A = 0 the operator is ``h (x) 1``: with a
 positive ``deg_threshold`` the eigensolve finds the levels of the scalar
-``h`` once, on half the block, and pairs them into spinors.
+``h`` once, on half the block and in real arithmetic (``h`` is real
+symmetric), and pairs them into spinors.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import get_blas_funcs
 
 from .density import (
     DensityMatrix,
@@ -151,25 +152,27 @@ class EigensolveError(RuntimeError):
 def _gram(cell: Cell, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Gram matrix ``dV conj(A) B^T`` of two row blocks, shapes (ma|mb, N).
 
-    One ``zgemm`` on the transposed (Fortran-ordered) views conjugates
-    ``A`` inside BLAS, so no conjugated copy is made.
+    One ``zgemm`` (``dgemm`` for real rows) on the transposed
+    (Fortran-ordered) views conjugates ``A`` inside BLAS, so no
+    conjugated copy is made.
     """
-    return zgemm(cell.dV, A.T, B.T, trans_a=2)
+    return get_blas_funcs("gemm", (A, B))(cell.dV, A.T, B.T, trans_a=2)
 
 
 def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
-    """Grid norms of the rows of a complex block (rows, N)."""
+    """Grid norms of the rows of a real or complex block (rows, N)."""
     f = X.view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", f, f) * cell.dV)
 
 
 def _lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> None:
-    """``Y = alpha C^T X + beta Y`` in place, as one ``zgemm`` on the transposed views.
+    """``Y = alpha C^T X + beta Y`` in place, as one ``zgemm`` (``dgemm`` for a real ``Y``)
+    on the transposed views.
 
     ``Y`` must be C-ordered so that ``Y.T`` is the Fortran-ordered
     array BLAS overwrites.
     """
-    zgemm(alpha, X.T, C, beta=beta, c=Y.T, overwrite_c=1)
+    get_blas_funcs("gemm", (Y,))(alpha, X.T, C, beta=beta, c=Y.T, overwrite_c=1)
 
 
 def _whiten(g: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -221,6 +224,7 @@ def eigensolve(
     X0: np.ndarray | None = None,
     seed: int = 0,
     components: int = 2,
+    real: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Lowest eigenpairs of a Hermitian operator by preconditioned LOBPCG.
 
@@ -248,21 +252,35 @@ def eigensolve(
     buffer: the implicit update of Knyazev (SIAM J. Sci. Comput. 23
     (2001) 517).  ``X`` leaves each step as Ritz vectors, so it is not
     rotated again.
+
+    With ``real=True`` the operator must be real symmetric on real rows
+    (the A = 0 scalar ``h``, whose eigenvectors can be chosen real):
+    every block, the start and the result are float64, the products are
+    ``dgemm`` and the preconditioner goes through the half-spectrum pair
+    (:meth:`~magrhf.fields.Cell.to_half_spectral`).  A complex ``X0`` is
+    refused there; the caller converts it.
     """
     n = cell.n
     b = max(block or (count + 2), count, 2)
     rng = np.random.default_rng(seed)
     field_shape = (components,) + (n,) * 3
     shape = (b, components * n**3)
+    dtype = float if real else complex
+
+    def random_rows(m: int) -> np.ndarray:
+        r = rng.standard_normal((m, shape[1]))
+        return r if real else r + 1j * rng.standard_normal((m, shape[1]))
+
     # the start block: the rows of X0, filled up with random rows to b orthonormal ones
     # (a second fill only where the rows of X0 are dependent)
-    X = np.zeros((0, shape[1]), dtype=complex)
+    X = np.zeros((0, shape[1]), dtype=dtype)
     if X0 is not None:
-        X = np.array(X0, dtype=complex)[:b].reshape(-1, shape[1])
+        if real and np.iscomplexobj(X0):
+            raise TypeError("a real eigensolve needs a real start block X0")
+        X = np.array(X0, dtype=dtype)[:b].reshape(-1, shape[1])
     for _ in range(2):
         if len(X) < b:
-            extra_shape = (b - len(X), shape[1])
-            X = np.concatenate([X, rng.standard_normal(extra_shape) + 1j * rng.standard_normal(extra_shape)])
+            X = np.concatenate([X, random_rows(b - len(X))])
         X = _whiten(_gram(cell, X, X), 1e-12).T @ X
         if len(X) == b:
             break
@@ -274,13 +292,17 @@ def eigensolve(
     h = _gram(cell, X, HX)
     theta, U = np.linalg.eigh(0.5 * (h + h.conj().T))
     # two copies of the basis and of its H image: a step reads one and writes the next [X | P] into the other
-    S = [np.empty((3 * b, shape[1]), dtype=complex) for _ in range(2)]
+    S = [np.empty((3 * b, shape[1]), dtype=dtype) for _ in range(2)]
     HS = [np.empty_like(S[0]) for _ in range(2)]
     kx, kp = X.shape[0], 0
     _lincomb(S[0][:kx], U, X)
     _lincomb(HS[0][:kx], U, HX)
     del X, HX
-    k2 = cell.k2_full
+    # the preconditioner's transform pair: real rows keep to the half spectrum
+    to_spectral, from_spectral, k2 = (
+        (cell.to_half_spectral, cell.from_half_spectral, cell.k2_half) if real
+        else (cell.to_spectral, cell.from_spectral, cell.k2_full)
+    )
     rel = np.full(b, np.inf)
 
     for it in range(1, max_iter + 1):
@@ -305,15 +327,15 @@ def eigensolve(
             R[:kw] = R[active]
         W = S0[w0:w0 + kw]
         shift = np.maximum(1.0, -theta[active] + 1.0)
-        chat = cell.to_spectral(W.reshape((-1,) + field_shape))
+        chat = to_spectral(W.reshape((-1,) + field_shape))
         chat /= 0.5 * k2 + shift[:, None, None, None, None]
-        W[...] = cell.from_spectral(chat).reshape(W.shape)
+        W[...] = from_spectral(chat).reshape(W.shape)
         del chat  # not alive during the apply
         kw, Tw = _complement(cell, S0[:w0], W)
         if not Tw.shape[1]:
             # W lies in span[X | P] to working precision: restart it from random directions
             W = S0[w0:w0 + b]
-            W[...] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            W[...] = random_rows(b)
             kw, Tw = _complement(cell, S0[:w0], W)
         m = w0 + kw
         HS0[w0:m] = apply(S0[w0:m])
@@ -357,9 +379,12 @@ def _coarse_start(
     The two-grid idea (Xu & Zhou, Math. Comp. 70 (2001) 17): ``v_eff`` is
     restricted to ``Cell(L, 2 ceil(n/4))`` by Fourier truncation, the A = 0
     Hamiltonian there is solved for ``block`` rows of ``components``
-    components to ``tol`` (the scalar rows of the spin-block solve, or
-    spinors), and its Ritz vectors, zero-padded to the fine grid, are
-    orthonormal there by Parseval.  ``None`` (the random start) when the
+    components to ``tol`` (the real scalar rows of the spin-block solve,
+    or spinors), and its Ritz vectors, zero-padded to the fine grid, are
+    orthonormal there by Parseval.  Scalar rows return the real part of
+    the padding, which differs from it only where the coarse Nyquist
+    planes lose their partner mode; the fine solve whitens its start
+    block anyway.  ``None`` (the random start) when the
     half grid has fewer than 4 points per axis or too few unknowns for the
     three-block LOBPCG basis, or when its solve fails.
     """
@@ -372,26 +397,28 @@ def _coarse_start(
     try:
         _, X, *_ = _lobpcg(
             _build_hamiltonian(coarse, v_c, None), coarse, count, block=block, tol=tol,
-            max_iter=EIG_MAXITER, seed=seed, components=components,
+            max_iter=EIG_MAXITER, seed=seed, components=components, real=components == 1,
         )
     except EigensolveError:
         return None
-    return prolong(coarse, X, cell)
+    X = prolong(coarse, X, cell)
+    return X.real.copy() if components == 1 else X
 
 
 def _spin_pairs(X: np.ndarray, rows: int) -> np.ndarray:
-    """The first ``rows`` of the spinors ``phi (x) up, phi (x) down`` of the scalar rows
-    ``X`` (m, 1, n, n, n), pair by pair."""
-    out = np.zeros((rows, 2) + X.shape[2:], dtype=X.dtype)
+    """The first ``rows`` of the spinors ``phi (x) up, phi (x) down`` of the (real or complex)
+    scalar rows ``X`` (m, 1, n, n, n), pair by pair; complex whatever the dtype of ``X``."""
+    out = np.zeros((rows, 2) + X.shape[2:], dtype=complex)
     out[0::2, 0] = X[:(rows + 1) // 2, 0]
     out[1::2, 1] = X[:rows // 2, 0]
     return out
 
 
 def _spatial_rows(cell: Cell, X: np.ndarray, rows: int) -> np.ndarray:
-    """Scalar rows (k, 1, n, n, n), k <= ``rows``, from the spinor rows ``X``: the span of
-    their components, whitened, keeping its ``rows`` directions of largest weight."""
-    comps = X.reshape(-1, X[0, 0].size)
+    """Real scalar rows (k, 1, n, n, n), k <= ``rows``, from the spinor rows ``X``: the span of
+    the real and imaginary parts of their components, whitened, keeping its ``rows``
+    directions of largest weight."""
+    comps = np.concatenate([X.real, X.imag]).reshape(-1, X[0, 0].size)
     vals, vecs = np.linalg.eigh(_gram(cell, comps, comps))
     keep = vals > 1e-12 * max(vals[-1], 1e-300)
     vals, vecs = vals[keep][::-1][:rows], vecs[:, keep][:, ::-1][:, :rows]
@@ -699,8 +726,9 @@ def scf_solve(
     too small or its solve fails.
 
     An evaluation at A = 0 with ``deg_threshold > 0`` solves the scalar
-    ``h`` of ``H = h (x) 1`` on ``ceil(block/2)`` rows for ``ceil(count/2)``
-    pairs; each ``phi`` becomes the spinors ``phi (x) up`` and
+    ``h`` of ``H = h (x) 1`` on ``ceil(block/2)`` real rows for ``ceil(count/2)``
+    pairs (``h`` is real symmetric, so float64 arithmetic throughout:
+    ``eigensolve(..., real=True)``); each ``phi`` becomes the spinors ``phi (x) up`` and
     ``phi (x) down`` with its level and ``H phi`` repeated, truncated to
     the spinor block.  Any other evaluation (A != 0, or
     ``deg_threshold = 0``, where the fill must see the roundoff that
@@ -757,7 +785,7 @@ def scf_solve(
             X0 = _spatial_rows(cell, X0, b) if spin_block else _spin_pairs(X0, b)
         levels, start, _, _, h_orbitals = eigensolve(
             make_hamiltonian(cell, v_eff, A), cell, c, block=b, tol=schedule.tol,
-            max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps,
+            max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps, real=spin_block,
         )
         orbitals = start
         if spin_block:  # phi (x) up and phi (x) down, truncated to the rows a spinor solve returns

@@ -6,7 +6,9 @@ capacity-2 occupation per spatial level, and the energy summed directly
 from its integrals.  It shares only the low-level spectral primitives,
 the eigensolver, its tolerance schedule, the orbital residual and the
 density mixer with the spinor machinery, which makes it a useful
-cross-check of the full path in the ``A -> 0`` limit.
+cross-check of the full path in the ``A -> 0`` limit.  The operator is
+real symmetric, so its orbitals are real: the eigensolver runs in float64
+and the Hamiltonian through the half-spectrum transform pair.
 """
 
 from __future__ import annotations
@@ -65,12 +67,15 @@ def _fill_capacity2(levels: np.ndarray, N: float, deg: float = 1e-6) -> np.ndarr
 
 
 def _scalar_hamiltonian(cell: Cell, v_eff: np.ndarray):
-    """Apply of ``-lap/2 + v_eff`` to a (m, 1, n, n, n) block of scalar orbitals."""
-    k2 = cell.k2_full
+    """Apply of ``-lap/2 + v_eff`` to a real (m, 1, n, n, n) block of scalar orbitals."""
+    half_k2 = 0.5 * cell.k2_half
 
     def apply_h(X: np.ndarray) -> np.ndarray:
-        c = cell.to_spectral(X)
-        return cell.from_spectral(0.5 * k2[None, None] * c) + v_eff[None, None] * X
+        c = cell.to_half_spectral(X)
+        c *= half_k2
+        out = cell.from_half_spectral(c)
+        out += v_eff * X
+        return out
 
     return apply_h
 
@@ -89,7 +94,8 @@ def scf_solve_spinless(
     states in their own mean field, like the spinor path, so the two
     can be compared at matching tightness.  The eigensolver tolerance
     follows the spinor path's schedule, driven by the orbital residual,
-    and convergence needs it to have reached ``eig_tol``.
+    and convergence needs it to have reached ``eig_tol``.  The orbitals
+    are real and the eigensolves run in float64 (``real=True``).
     """
     cell = spec.cell
     if eig_tol is None:
@@ -120,12 +126,12 @@ def scf_solve_spinless(
 
         levels, orbitals, _, _, HX = eigensolve(
             _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=schedule.tol,
-            max_iter=EIG_MAXITER, X0=X_warm, seed=seed, components=1,
+            max_iter=EIG_MAXITER, X0=X_warm, seed=seed, components=1, real=True,
         )
         occ = _fill_capacity2(levels, spec.N)
         rho_out = np.zeros((cell.n,) * 3)
         for f, orb in zip(occ, orbitals):
-            rho_out += f * np.abs(orb[0]) ** 2
+            rho_out += f * orb[0] ** 2
         rho_out_field = ScalarField(cell, rho_out)
 
         # the output mean field differs from the eigensolver's only in the

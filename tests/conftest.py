@@ -30,6 +30,22 @@ def _bandlimited_coeffs(cell: Cell, rng: np.ndarray, kfrac: float, shape=()) -> 
     return c * mask
 
 
+@pytest.fixture
+def transform_rows(monkeypatch) -> dict:
+    """Patch the four 3-D transforms of ``Cell`` (full and half spectrum) to add the rows of
+    each call, its scalar transforms, to ``rows[name]``; returns ``rows``."""
+    rows: dict[str, int] = {}
+    for name in ("to_spectral", "from_spectral", "to_half_spectral", "from_half_spectral"):
+        original = getattr(Cell, name)
+
+        def counted(self, values, _name=name, _original=original):
+            rows[_name] = rows.get(_name, 0) + int(np.prod(values.shape[:-3]))
+            return _original(self, values)
+
+        monkeypatch.setattr(Cell, name, counted)
+    return rows
+
+
 def bandlimited_scalar(cell: Cell, rng, kfrac: float = 0.25) -> ScalarField:
     c = _bandlimited_coeffs(cell, rng, kfrac)
     return ScalarField(cell, cell.from_spectral(c).real)

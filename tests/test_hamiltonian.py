@@ -33,6 +33,7 @@ from magrhf.hamiltonian import (
     MagneticPotential,
     Nucleus,
     SystemSpec,
+    _kinetic,
     apply_magnetic_laplacian,
     apply_pauli_kinetic,
     apply_sigma_kinetic_root,
@@ -217,22 +218,13 @@ def test_sigma_root_matches_per_axis_oracle():
 
 
 @pytest.fixture
-def transforms(monkeypatch):
+def transforms(transform_rows):
     """``transforms(fn, *args)`` calls ``fn`` and returns the scalar 3-D transforms it ran."""
-    counts = []
-    for name in ("to_spectral", "from_spectral"):
-        original = getattr(Cell, name)
-
-        def counted(self, values, _original=original):
-            counts.append(int(np.prod(values.shape[:-3])))
-            return _original(self, values)
-
-        monkeypatch.setattr(Cell, name, counted)
 
     def count(fn, *args):
-        counts.clear()
+        transform_rows.clear()
         fn(*args)
-        return sum(counts)
+        return sum(transform_rows.values())
 
     return count
 
@@ -253,6 +245,33 @@ def test_kinetic_transform_counts(transforms):
     assert transforms(apply_magnetic_laplacian, psi, A) == 16
     assert transforms(apply_sigma_kinetic_root, psi, A) == 4
     assert transforms(apply_sigma_kinetic_root, psi, None) == 4
+
+
+def test_real_zero_a_apply_takes_the_half_spectrum(transform_rows):
+    # real scalar rows at A = 0 (the spin-block solve): one forward and one
+    # inverse half-spectrum transform per row and no complex transform, so
+    # a silent fall-back to complex rows fails here
+    cell = Cell(6.0, 8)
+    rng = np.random.default_rng(1)
+    apply_h = make_hamiltonian(cell, ScalarField(cell, rng.standard_normal((8,) * 3)), None)
+    out = apply_h(rng.standard_normal((5, 1, 8, 8, 8)))
+    assert out.dtype == np.float64
+    assert transform_rows == {"to_half_spectral": 5, "from_half_spectral": 5}
+
+
+def test_real_zero_a_kinetic_is_the_real_part_of_the_complex_path():
+    # white-noise rows carry every mode, the Nyquist planes included; |k|^2
+    # is even in k there too, so the half-spectrum path loses nothing
+    cell = Cell(6.0, 8)
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((3, 1, 8, 8, 8))
+    assert np.abs(cell.to_spectral(X)[..., 4, 4, 4]).min() > 0.0
+    w = rng.standard_normal((8,) * 3)
+    for weight in (None, w):
+        real = _kinetic(cell, X, None, weight)
+        full = _kinetic(cell, X.astype(complex), None, weight)
+        assert real.dtype == np.float64
+        assert np.abs(real - full.real).max() <= 1e-14 * np.abs(full).max()
 
 
 def test_gauge_covariance_fixed_field():

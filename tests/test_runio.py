@@ -175,18 +175,20 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, small_state):
     checkpoint_save(_clone(spec, state, data), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     # a negative zero survives save -> load -> save, in either part: phases
-    # make one entry real in orbital 0 and imaginary in orbital 1, and the
-    # vanishing part of each is then set to -0.0
+    # make the largest-modulus entry (never zero, unlike a fixed entry of the
+    # spin-down orbital phi (x) down) real in orbital 0 and imaginary in
+    # orbital 1, and the vanishing part of each is then set to -0.0
     signed = data.orbitals.copy()
-    v0, v1 = signed[0, 0, 0, 0, 0], signed[1, 0, 0, 0, 0]
+    i0, i1 = ((k,) + np.unravel_index(np.argmax(np.abs(signed[k])), signed[k].shape) for k in (0, 1))
+    v0, v1 = signed[i0], signed[i1]
     signed[0] *= abs(v0) / v0
     signed[1] *= 1j * abs(v1) / v1
-    signed[0, 0, 0, 0, 0] = complex(abs(v0), -0.0)
-    signed[1, 0, 0, 0, 0] = complex(-0.0, abs(v1))
+    signed[i0] = complex(abs(v0), -0.0)
+    signed[i1] = complex(-0.0, abs(v1))
     checkpoint_save(_clone(spec, state, data, signed), p3)
     again = checkpoint_load(p3)
-    assert np.signbit(again.orbitals[0, 0, 0, 0, 0].imag)
-    assert np.signbit(again.orbitals[1, 0, 0, 0, 0].real)
+    assert np.signbit(again.orbitals[i0].imag)
+    assert np.signbit(again.orbitals[i1].real)
     checkpoint_save(_clone(spec, state, again), p4)
     assert open(p3, "rb").read() == open(p4, "rb").read()
 

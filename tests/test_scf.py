@@ -95,6 +95,54 @@ def test_eigensolve_scalar_block_matches_dense_oracle():
     assert np.abs(levels[:4] - ref[:4]).max() < 1e-9
 
 
+def _real_scalar_problem(n: int, seed: int):
+    """The A = 0 scalar apply of a random real potential on a tiny grid, and its dense matrix."""
+    cell = Cell(6.0, n)
+    apply_h = make_hamiltonian(cell, ScalarField(cell, np.random.default_rng(seed).standard_normal((n,) * 3)), None)
+    dim = n**3
+    H = apply_h(np.eye(dim).reshape(dim, 1, n, n, n)).reshape(dim, dim).T
+    return cell, apply_h, H
+
+
+def test_eigensolve_real_block_matches_dense_oracle():
+    # real=True: float rows, dgemm products and the half-spectrum
+    # preconditioner, for long enough that the conjugate directions P enter
+    cell, apply_h, H = _real_scalar_problem(6, seed=8)
+    assert H.dtype == np.float64 and np.abs(H - H.T).max() < 1e-13
+    ref = np.linalg.eigvalsh(H)
+    levels, orbs, res, iters, h_orbs = eigensolve(
+        apply_h, cell, 4, block=6, tol=1e-11, seed=0, max_iter=600, components=1, real=True
+    )
+    assert iters >= 3
+    assert orbs.shape == (6, 1, 6, 6, 6) and orbs.dtype == h_orbs.dtype == np.float64
+    assert np.all(res[:4] <= 1e-11)
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 4)
+    # a complex start is the caller's to convert
+    with pytest.raises(TypeError, match="real start block"):
+        eigensolve(apply_h, cell, 4, block=6, X0=orbs.astype(complex), components=1, real=True)
+
+
+def test_eigensolve_real_preconditioner_takes_the_half_spectrum(transform_rows):
+    # a dense apply runs no transform, so every transform is the
+    # preconditioner's: one forward and one inverse half-spectrum transform
+    # per preconditioned row, and no complex one
+    cell, _, H = _real_scalar_problem(6, seed=8)
+    transform_rows.clear()  # the transforms that built H
+
+    def dense(X):
+        return (X.reshape(len(X), -1) @ H.T).reshape(X.shape)
+
+    # one iteration preconditions the whole random block of 4 rows
+    with pytest.raises(EigensolveError):
+        eigensolve(dense, cell, 3, block=4, tol=1e-10, seed=0, max_iter=1, components=1, real=True)
+    assert transform_rows == {"to_half_spectral": 4, "from_half_spectral": 4}
+    transform_rows.clear()
+    *_, h_orbs = eigensolve(dense, cell, 3, block=4, tol=1e-10, seed=0, max_iter=600, components=1, real=True)
+    assert h_orbs.dtype == np.float64
+    assert set(transform_rows) == {"to_half_spectral", "from_half_spectral"}
+    assert transform_rows["to_half_spectral"] == transform_rows["from_half_spectral"]
+
+
 def test_eigensolve_scalar_levels_pair_the_spinor_levels():
     # at A = 0 the spinor operator is h (x) 1: the scalar solve of h on half
     # the block, its levels repeated, gives the levels of the spinor solve
@@ -721,6 +769,64 @@ def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
     random = eigensolve(*second["args"], **second["kwargs"])
     assert np.abs(random[0][:2] - second["levels"][:2]).max() <= second["kwargs"]["tol"]
     assert second["iterations"] < random[3]
+
+
+def test_spin_pairs_of_real_rows_are_complex_spinors():
+    X = np.random.default_rng(0).standard_normal((2, 1, 4, 4, 4))
+    pairs = scf._spin_pairs(X, 3)
+    assert pairs.dtype == np.complex128 and pairs.shape == (3, 2, 4, 4, 4)
+    for row, (phi, spin) in enumerate([(0, 0), (0, 1), (1, 0)]):
+        assert np.array_equal(pairs[row, spin], X[phi, 0])
+        assert not pairs[row, 1 - spin].any()
+
+
+def test_spatial_rows_of_rotated_spinors_span_the_spatial_rows():
+    # e^{i theta} phi (x) chi with a complex spin direction chi: the real and
+    # imaginary parts of every component are multiples of the real phi
+    from scipy.linalg import subspace_angles
+
+    cell = Cell(6.0, 6)
+    rng = np.random.default_rng(4)
+    phi = rng.standard_normal((3, 6**3))
+    chi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    chi /= np.linalg.norm(chi, axis=1, keepdims=True)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    X = (phase[:, None, None] * chi[:, :, None] * phi[:, None, :]).reshape(3, 2, 6, 6, 6)
+    rows = scf._spatial_rows(cell, X, 3)
+    assert rows.dtype == np.float64 and rows.shape == (3, 1, 6, 6, 6)
+    flat = rows.reshape(3, -1)
+    assert np.abs(flat @ flat.T * cell.dV - np.eye(3)).max() <= 1e-12
+    assert subspace_angles(flat.T, phi.T).max() <= 1e-10
+
+
+def test_scf_spin_block_round_trip_through_a_magnetic_potential(monkeypatch):
+    # the first field solve is replaced by a potential well above the snap
+    # bound: the evaluations go A = 0 (real scalar rows) -> A != 0 (spinors
+    # paired from them) -> A snapped to 0 (real rows from the spinors), and
+    # the unpolarised state's fixed point is reached again
+    spec = _unpolarised_h()
+    cfg = SCFConfig(tol=1e-7, seed=0)
+    cold = scf_solve(spec, cfg)
+    original = scf.update_vector_potential
+
+    def kicked(j, m, rho, A_in, spec):
+        if kicked.first:
+            kicked.first = False
+            a = helmholtz_project(bandlimited_vector(spec.cell, np.random.default_rng(3)), zero_mean=True)
+            return MagneticPotential(VectorField(spec.cell, a.values * (1e-5 / a.norm())), check_gauge=False)
+        return original(j, m, rho, A_in, spec)
+
+    kicked.first = True
+    monkeypatch.setattr(scf, "update_vector_potential", kicked)
+    calls = _record_solves(monkeypatch, "eigensolve")
+    state = scf_solve(spec, cfg)
+    assert state.converged and state.A.is_zero()
+    assert abs(state.energy.total - cold.energy.total) <= 1e-12 * abs(cold.energy.total)
+    comps = [call["kwargs"]["components"] for call in calls]
+    to_spinor, back = comps.index(2), len(comps) - comps[::-1].index(2)
+    assert comps[0] == 1 and back < len(comps) and set(comps[back:]) == {1}
+    assert calls[to_spinor]["X0"].dtype == np.complex128
+    assert calls[back]["X0"].dtype == calls[back]["orbitals"].dtype == np.float64
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
