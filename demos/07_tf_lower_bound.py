@@ -19,7 +19,7 @@ grid = RadialGrid()
 res = tf_minimize(grid, tol=1e-7)
 print(f"I_TF = {res.energy:.8f}  (kkt residual {res.kkt:.2e}, "
       f"{res.iterations} iterations, mass {res.rho.mass():.4f})")
-fine = tf_minimize(grid.refined(2), tol=1e-7)
+fine = tf_minimize(grid.refined(), tol=1e-7)
 print(f"grid doubled: {fine.energy:.8f}  "
       f"(relative change {abs(fine.energy - res.energy) / abs(res.energy):.1e})")
 

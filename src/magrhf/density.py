@@ -71,12 +71,12 @@ class DensityMatrix:
                 raise CellMismatchError("orbitals live on different cells")
         self._check_orthonormal()
 
-    def _check_orthonormal(self, tol: float = 1e-10) -> None:
+    def _check_orthonormal(self) -> None:
         m = len(self.orbitals)
         X = np.stack([phi.values for phi in self.orbitals]).reshape(m, -1)
         gram = (X.conj() @ X.T) * self.cell.dV
         err = np.abs(gram - np.eye(m)).max()
-        if err > tol:
+        if err > 1e-10:
             raise ValueError(f"orbitals are not orthonormal: max deviation {err:.3e}")
 
     @property

@@ -10,10 +10,10 @@ vectors are zeroed on the Nyquist planes; the part of ``|k|^2`` they
 drop there is added back, so A = 0 gives ``(1/2) |k|^2`` exactly, at
 2 FFTs per component.  ``D`` is Hermitian on the grid, so ``T_A`` is
 ``D^+ D / 2`` plus that nonnegative Nyquist term: nonnegative whatever
-the gauge or the resolution of ``A``.  The spin-free
-``(p + A)^2`` of the audits keeps the expansion
-``p^2 + A . p + p . A + |A|^2`` (8 FFTs per component), whose cross
-term is symmetrised so the discrete operator is Hermitian to roundoff.
+the gauge or the resolution of ``A``.  The spin-free ``(p + A)^2`` of
+the audits is the sum of squares ``sum_i (p_i + A_i)^2`` plus the same
+Nyquist term (8 FFTs per component), so it is ``sum_i (p_i + A_i)^+
+(p_i + A_i)`` on the grid: Hermitian and nonnegative to roundoff.
 
 Nuclear potentials use the periodic Coulomb kernel (Fourier symbol
 ``4 pi / |k|^2`` with the ``k = 0`` mode dropped).  Molecular systems
@@ -176,25 +176,17 @@ def _vector_potential(cell: Cell, A: MagneticPotential | None) -> np.ndarray | N
     return None if A is None or A.is_zero() else A.A.values
 
 
-def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, w: np.ndarray | None) -> np.ndarray:
-    """``(1/2)(p^2 + A . p + p . A) X + w X`` for ``X`` of shape (..., n, n, n).
+def _kinetic(cell: Cell, X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """``(1/2) p^2 X + w X`` for ``X`` of shape (..., n, n, n): the free kinetic kernel.
 
-    The expansion kernel: every leading axis of ``X`` (orbitals, spin)
-    is a batch axis, ``half_a`` is ``A/2`` (``None`` means A = 0) and
-    ``w`` a real pointwise multiplier (``None`` for none, with A = 0
-    only).  One forward
-    transform of X and three inverse transforms of ``k_i c`` give
-    ``A . p``; three forward transforms of ``A_i X`` are weighted by
-    ``k_i`` and added to ``|k|^2 c`` so a single inverse transform
-    returns ``p^2`` and ``p . (A .)`` together.  That is 8 transforms
-    per component with A and 2 without.  ``A . p`` and ``p . A`` are
-    mutual adjoints on the discrete torus, so the operator is Hermitian
-    to roundoff.  Real rows at A = 0 (the scalar rows of the spin-block
-    solve) take the half-spectrum pair instead: ``|k|^2`` is even in
-    ``k``, so the result stays real and is the real part of the complex
-    path's.
+    Every leading axis of ``X`` (orbitals, spin) is a batch axis and ``w``
+    a real pointwise multiplier (``None`` for none).  One forward and one
+    inverse transform per component, with ``|k|^2`` in full on the
+    Nyquist planes.  Real rows (the scalar rows of the spin-block solve)
+    take the half-spectrum pair: ``|k|^2`` is even in ``k``, so the
+    result stays real and is the real part of the complex path's.
     """
-    if half_a is None and np.isrealobj(X):
+    if np.isrealobj(X):
         c = cell.to_half_spectral(X)
         c *= 0.5 * cell.k2_half
         out = cell.from_half_spectral(c)
@@ -202,30 +194,11 @@ def _kinetic(cell: Cell, X: np.ndarray, half_a: np.ndarray | None, w: np.ndarray
             out += w * X
         return out
     c = cell.to_spectral(X)
-    if half_a is None:
-        c *= 0.5 * cell.k2_full
-        out = cell.from_spectral(c)
-        if w is not None:
-            out += np.multiply(w, X, out=c)
-        return out
-    k = cell.k
-    tmp = np.empty_like(c)
-    near = None  # accumulates in the first gradient's array, so nothing else is allocated
-    for i in range(3):
-        grad = cell.from_spectral(np.multiply(c, k[i], out=tmp))
-        grad *= half_a[i]
-        if near is None:
-            near = grad
-        else:
-            near += grad
-    near += np.multiply(w, X, out=tmp)
     c *= 0.5 * cell.k2_full
-    for i in range(3):
-        flux = cell.to_spectral(np.multiply(X, half_a[i], out=tmp))
-        flux *= k[i]
-        c += flux
-    near += cell.from_spectral(c)
-    return near
+    out = cell.from_spectral(c)
+    if w is not None:
+        out += np.multiply(w, X, out=c)
+    return out
 
 
 #: a real vector field ``v`` as the entries ``(v_z, v_x + i v_y, v_x - i v_y)``
@@ -308,16 +281,35 @@ def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential
     a = _vector_potential(cell, A)
     v = None if v_eff is None else v_eff.values
     if a is None:
-        return lambda X: _kinetic(cell, X, None, v)
+        return lambda X: _kinetic(cell, X, v)
     k, a = _sigma_entries(np.sqrt(0.5) * cell.k), _sigma_entries(np.sqrt(0.5) * a)
     return lambda X: _half_square(cell, X, k, a, v)
 
 
 def apply_magnetic_laplacian(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
-    """Apply ``(p + A)^2`` to a spinor, through the spin-free expansion kernel."""
-    a = _vector_potential(psi.cell, A)
-    half_a, w = (None, None) if a is None else (0.5 * a, 0.5 * np.sum(a * a, axis=0))
-    return SpinorField(psi.cell, 2.0 * _kinetic(psi.cell, psi.values, half_a, w))
+    """Apply ``(p + A)^2 = sum_i (p_i + A_i)^2`` to a spinor, plus the Nyquist term.
+
+    With ``c`` the series of ``psi``, each ``u_i = F^-1(k_i c) + A_i psi``
+    costs one inverse transform and its ``k_i F(u_i)`` one forward
+    transform; their sum and ``(k2_full - k2) c`` go back in one inverse
+    transform, and ``sum_i A_i u_i`` is added on the grid.  That is 8
+    transforms per component; A = 0 takes the free kernel at 2.
+    """
+    cell = psi.cell
+    a = _vector_potential(cell, A)
+    if a is None:
+        return SpinorField(cell, 2.0 * _kinetic(cell, psi.values, None))
+    c = cell.to_spectral(psi.values)
+    s = np.zeros_like(c)
+    _add_nyquist(cell, c, s, 1.0)
+    out = np.zeros_like(c)
+    for k_i, a_i in zip(cell.k, a):
+        u = cell.from_spectral(k_i * c)
+        u += a_i * psi.values
+        s += k_i * cell.to_spectral(u)
+        out += a_i * u
+    out += cell.from_spectral(s)
+    return SpinorField(cell, out)
 
 
 def apply_sigma_kinetic_root(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:

@@ -11,10 +11,10 @@ with the Fermi level chosen so the occupations sum to the electron
 count.  The loop alternates a preconditioned block eigensolve, aufbau
 filling, one spectral solve of the linear field equation (with the
 ``A rho`` term lagged), Anderson mixing of the density and linear
-mixing of the potential.  At A = 0 the operator is ``h (x) 1``: with a
-positive ``deg_threshold`` the eigensolve finds the levels of the scalar
-``h`` once, on half the block and in real arithmetic (``h`` is real
-symmetric), and pairs them into spinors.
+mixing of the potential.  At A = 0 the operator is ``h (x) 1``: the
+eigensolve finds the levels of the scalar ``h`` once, on half the block
+and in real arithmetic (``h`` is real symmetric), and pairs them into
+spinors along one spin axis per run.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -99,12 +99,12 @@ class SCFConfig:
     ``mix`` in (0, 1] is the Anderson mixing fraction of the density and
     the linear mixing fraction of the vector potential;
     ``deg_threshold`` >= 0 groups levels into a degenerate Fermi shell
-    (and, when positive, lets an A = 0 evaluation take the spin-block
-    solve, whose paired levels are equal; at 0 it keeps the spinor solve,
-    whose roundoff-split pairs the fill may polarise);
-    ``eig_block`` must hold the occupied levels (:meth:`check_block`).
-    ``pin_A`` freezes the vector potential at zero (the decoupled,
-    non-magnetic limit).
+    that shares its charge (at 0 every level is its own shell, so a spin
+    pair is filled one member at a time and the state may polarise);
+    ``eig_block`` must hold the occupied levels and a guard row
+    (:meth:`check_block`).  ``seed`` draws the eigensolver's random rows
+    and the run's spin axis.  ``pin_A`` freezes the vector potential at
+    zero (the decoupled, non-magnetic limit).
     """
 
     max_iter: int = 80
@@ -133,10 +133,10 @@ class SCFConfig:
                 raise ValueError(message)
 
     def check_block(self, N: float) -> int:
-        """The number ``ceil(N)`` of occupied levels; ``ValueError`` if ``eig_block`` is smaller."""
+        """The number ``ceil(N)`` of occupied levels; ``ValueError`` if ``eig_block`` has no row more."""
         n_occ = int(math.ceil(N - 1e-12))
-        if self.eig_block is not None and self.eig_block < n_occ:
-            raise ValueError(f"eig_block={self.eig_block} cannot hold the {n_occ} occupied levels of N={N}")
+        if self.eig_block is not None and self.eig_block <= n_occ:
+            raise ValueError(f"eig_block={self.eig_block} cannot hold {n_occ} occupied levels of N={N} and a guard row")
         return n_occ
 
 
@@ -371,46 +371,50 @@ _lobpcg = eigensolve
 _build_hamiltonian = make_hamiltonian
 
 
-def _coarse_start(
-    v_eff: ScalarField, count: int, block: int, tol: float, seed: int, components: int
-) -> np.ndarray | None:
+def _coarse_start(v_eff: ScalarField, count: int, block: int, tol: float, seed: int) -> np.ndarray | None:
     """Start block of a cold eigensolve: Ritz vectors of the same mean field on the half grid.
 
     The two-grid idea (Xu & Zhou, Math. Comp. 70 (2001) 17): ``v_eff`` is
     restricted to ``Cell(L, 2 ceil(n/4))`` by Fourier truncation, the A = 0
-    Hamiltonian there is solved for ``block`` rows of ``components``
-    components to ``tol`` (the real scalar rows of the spin-block solve,
-    or spinors), and its Ritz vectors, zero-padded to the fine grid, are
-    orthonormal there by Parseval.  Scalar rows return the real part of
-    the padding, which differs from it only where the coarse Nyquist
-    planes lose their partner mode; the fine solve whitens its start
-    block anyway.  ``None`` (the random start) when the
-    half grid has fewer than 4 points per axis or too few unknowns for the
-    three-block LOBPCG basis, or when its solve fails.
+    scalar ``h`` there is solved for ``block`` real rows to ``tol``, and
+    the real part of its Ritz vectors zero-padded to the fine grid is
+    returned (orthonormal by Parseval, but where the coarse Nyquist planes
+    lose their partner mode; the fine solve whitens it anyway).  ``None``
+    (the random start) when the half grid has fewer than 4 points per
+    axis or too few unknowns for the three-block LOBPCG basis, or when
+    its solve fails.
     """
     cell = v_eff.cell
     n_c = 2 * math.ceil(cell.n / 4)
-    if n_c < 4 or components * n_c**3 < 3 * block:
+    if n_c < 4 or n_c**3 < 3 * block:
         return None
     coarse = Cell(cell.L, n_c)
     v_c = ScalarField(coarse, restrict(cell, v_eff.values, coarse).real)
     try:
         _, X, *_ = _lobpcg(
             _build_hamiltonian(coarse, v_c, None), coarse, count, block=block, tol=tol,
-            max_iter=EIG_MAXITER, seed=seed, components=components, real=components == 1,
+            max_iter=EIG_MAXITER, seed=seed, components=1, real=True,
         )
     except EigensolveError:
         return None
-    X = prolong(coarse, X, cell)
-    return X.real.copy() if components == 1 else X
+    return prolong(coarse, X, cell).real.copy()
 
 
-def _spin_pairs(X: np.ndarray, rows: int) -> np.ndarray:
-    """The first ``rows`` of the spinors ``phi (x) up, phi (x) down`` of the (real or complex)
-    scalar rows ``X`` (m, 1, n, n, n), pair by pair; complex whatever the dtype of ``X``."""
-    out = np.zeros((rows, 2) + X.shape[2:], dtype=complex)
-    out[0::2, 0] = X[:(rows + 1) // 2, 0]
-    out[1::2, 1] = X[:rows // 2, 0]
+def _spin_axis(seed: int) -> np.ndarray:
+    """The unit spinor ``chi`` of a run: generic, since the grid's cubic axes are stationary
+    directions of its anisotropy, where a polarised SCF pays in eigensolver iterations."""
+    z = np.random.default_rng(seed).standard_normal(4)
+    return (z[:2] + 1j * z[2:]) / np.linalg.norm(z)
+
+
+def _spin_pairs(X: np.ndarray, rows: int, chi: np.ndarray) -> np.ndarray:
+    """The first ``rows`` of the spinors ``phi (x) chi, phi (x) chi_perp`` of the (real or
+    complex) scalar rows ``X`` (m, 1, n, n, n), pair by pair, with the unit spinor ``chi``
+    and ``chi_perp = (-conj chi_1, conj chi_0)``; complex whatever the dtype of ``X``."""
+    out = np.empty((rows, 2) + X.shape[2:], dtype=complex)
+    for spin, (a, b) in enumerate(zip(chi, (-np.conj(chi[1]), np.conj(chi[0])))):
+        np.multiply(X[:(rows + 1) // 2, 0], a, out=out[0::2, spin])
+        np.multiply(X[:rows // 2, 0], b, out=out[1::2, spin])
     return out
 
 
@@ -432,7 +436,8 @@ def fermi_fill(
 
     Levels within ``deg_threshold`` of the shell bottom form one
     degenerate shell and share the remaining charge equally, so the
-    total is exactly ``N``.  Returns ``(occupations, fermi_energy)``;
+    total is exactly ``N``; at 0 each level, equal ones too, is a shell of
+    its own, filled in order.  Returns ``(occupations, fermi_energy)``;
     when the filling ends exactly between two shells the Fermi energy is
     the midpoint of the gap.
     """
@@ -449,7 +454,7 @@ def fermi_fill(
     fermi = float(lv[-1])
     while i < lv.size:
         shell = np.flatnonzero((lv >= lv[i] - 1e-300) & (lv <= lv[i] + deg_threshold))
-        shell = shell[shell >= i]
+        shell = shell[shell >= i] if deg_threshold > 0 else np.array([i])
         cap = shell.size
         if remaining >= cap - 1e-12:
             occ[shell] = 1.0
@@ -698,14 +703,14 @@ class _Iterate:
     rho: ScalarField
     A: MagneticPotential
     gamma: DensityMatrix
-    start: np.ndarray  # the eigensolver's own block (scalar or spinor rows): the next warm start
+    start: np.ndarray  # the eigensolver's own block (scalar or spinor rows): the next A = 0 warm start
+    orbitals: np.ndarray  # the spinor rows of gamma: the next A != 0 warm start
     levels: np.ndarray
     fermi: float
     rho_out: ScalarField
     A_out: MagneticPotential
     energy: EnergyBreakdown
     residuals: tuple[float, float, float]
-    audit: dict
 
 
 def scf_solve(
@@ -725,17 +730,20 @@ def scf_solve(
     :func:`_coarse_start`), or from random vectors where that grid is
     too small or its solve fails.
 
-    An evaluation at A = 0 with ``deg_threshold > 0`` solves the scalar
-    ``h`` of ``H = h (x) 1`` on ``ceil(block/2)`` real rows for ``ceil(count/2)``
-    pairs (``h`` is real symmetric, so float64 arithmetic throughout:
-    ``eigensolve(..., real=True)``); each ``phi`` becomes the spinors ``phi (x) up`` and
-    ``phi (x) down`` with its level and ``H phi`` repeated, truncated to
-    the spinor block.  Any other evaluation (A != 0, or
-    ``deg_threshold = 0``, where the fill must see the roundoff that
-    splits a spinor pair in order to polarise) solves the spinor block.
-    Each evaluation is warm-started from the previous eigensolver block;
-    a block of the other form is converted (:func:`_spin_pairs`,
-    :func:`_spatial_rows`).  A potential the field solve
+    An evaluation at A = 0 solves the scalar ``h`` of ``H = h (x) 1`` on
+    ``ceil(block/2)`` real rows for ``ceil(count/2)`` pairs (``h`` is real
+    symmetric, so float64 arithmetic throughout:
+    ``eigensolve(..., real=True)``); each ``phi`` becomes the spinors
+    ``phi (x) chi`` and ``phi (x) chi_perp`` with its level and ``H phi``
+    repeated, truncated to the spinor block.  ``chi`` is one unit spinor
+    per run, drawn from ``config.seed`` (:func:`_spin_axis`), so a
+    zero-threshold fill, which takes ``phi (x) chi`` before its partner,
+    polarises along ``chi^+ sigma chi`` on every platform and at every
+    return to A = 0.  An evaluation at A != 0 solves the spinor block.
+    An evaluation at A = 0 is warm-started from the previous scalar
+    block, or from the real span of spinor rows (:func:`_spatial_rows`);
+    one at A != 0 from the previous spinor orbitals, the spin pairs of a
+    scalar block included.  A potential the field solve
     could not tell from zero (see :func:`_snap_zero`) is replaced by an
     exact zero: the warm start, each field-solve output and each mixed
     potential.
@@ -755,7 +763,8 @@ def scf_solve(
 
     n_occ = config.check_block(spec.N)
     block = config.eig_block or (n_occ + 3)
-    count = min(n_occ + 2, block)
+    count = min(n_occ + 2, block - 1)  # at least one guard row
+    chi = _spin_axis(config.seed)
     eig_tol = config.eig_tol if config.eig_tol is not None else min(1e-9, 0.1 * config.tol)
 
     rho_in = _initial_density(spec, s_nuc)
@@ -763,7 +772,8 @@ def scf_solve(
     X_warm = None
     if initial is not None:
         gamma0, A0 = initial
-        X_warm = np.stack([orb.values for orb in gamma0.orbitals])
+        X = np.stack([orb.values for orb in gamma0.orbitals])
+        X_warm = (X, X)
         vals = density(gamma0).values
         if vals.sum() > 0:
             rho_in = ScalarField(cell, vals * spec.N / (vals.sum() * cell.dV))
@@ -773,25 +783,26 @@ def scf_solve(
     mixer = _AndersonMixer(config.mix, spec.N)
     schedule = _EigTolSchedule(eig_tol)
 
-    def evaluate(rho: ScalarField, A: MagneticPotential, X0) -> _Iterate:
+    def evaluate(rho: ScalarField, A: MagneticPotential, warm: tuple[np.ndarray, np.ndarray] | None) -> _Iterate:
         v_h, _ = hartree(rho)
         v_eff = ScalarField(cell, V.values + v_h.values)
-        # H = h (x) 1 at A = 0: solve h once, on half the block (see the docstring for deg_threshold = 0)
-        spin_block = A.is_zero() and config.deg_threshold > 0
+        # H = h (x) 1 at A = 0: solve h once, on half the block
+        spin_block = A.is_zero()
         comps, b, c = (1, (block + 1) // 2, (count + 1) // 2) if spin_block else (2, block, count)
-        if X0 is None:  # the cold start, where A = 0
-            X0 = _coarse_start(v_eff, c, b, schedule.tol, config.seed, comps)
-        elif X0.shape[1] != comps:
-            X0 = _spatial_rows(cell, X0, b) if spin_block else _spin_pairs(X0, b)
+        if warm is None:  # the cold start, where A = 0
+            X0 = _coarse_start(v_eff, c, b, schedule.tol, config.seed)
+        elif spin_block:
+            X0 = warm[0] if warm[0].shape[1] == 1 else _spatial_rows(cell, warm[0], b)
+        else:  # the last spinor rows, which are the spin pairs of a scalar block
+            X0 = warm[1]
         levels, start, _, _, h_orbitals = eigensolve(
             make_hamiltonian(cell, v_eff, A), cell, c, block=b, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps, real=spin_block,
         )
         orbitals = start
-        if spin_block:  # phi (x) up and phi (x) down, truncated to the rows a spinor solve returns
-            rows = max(block, 2)
-            levels = np.repeat(levels, 2)[:rows]
-            orbitals, h_orbitals = _spin_pairs(start, rows), _spin_pairs(h_orbitals, rows)
+        if spin_block:  # phi (x) chi and phi (x) chi_perp, truncated to the rows a spinor solve returns
+            levels = np.repeat(levels, 2)[:block]
+            orbitals, h_orbitals = _spin_pairs(start, block, chi), _spin_pairs(h_orbitals, block, chi)
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
         gamma = DensityMatrix(
             tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
@@ -811,10 +822,9 @@ def scf_solve(
             res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
         return _Iterate(
-            rho, A, gamma, start, levels, fermi, rho_out, A_out,
+            rho, A, gamma, start, orbitals, levels, fermi, rho_out, A_out,
             energy=total_energy(gamma, A, spec, V=V),
             residuals=(res_orb, res_field, _continuity_residual(rho_out, j, A)),
-            audit=kinetic_inequality_report(gamma, A),
         )
 
     def mix_A(prev_A, out_A, theta, rho):
@@ -853,7 +863,7 @@ def scf_solve(
 
         last = cand
         energy_history.append(cand.energy.total)
-        ledger.append({**cand.audit, "iteration": it})
+        ledger.append({**kinetic_inequality_report(cand.gamma, cand.A), "iteration": it})
         if cand.energy.total < config.energy_floor:
             return finish(cand, "instability")
         if max(cand.residuals) <= config.tol and schedule.at_target:
@@ -862,7 +872,7 @@ def scf_solve(
 
         rho_in = mixer.push(cand.rho, cand.rho_out)
         A_in = mix_A(cand.A, cand.A_out, config.mix, rho_in)
-        X_warm = cand.start
+        X_warm = (cand.start, cand.orbitals)
 
     return finish(last, regime_flag or "not_converged")
 

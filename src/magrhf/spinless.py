@@ -45,13 +45,13 @@ class SpinlessResult:
     orbital_residual: float
 
 
-def _fill_capacity2(levels: np.ndarray, N: float, deg: float = 1e-6) -> np.ndarray:
-    """Aufbau with two electrons per spatial level, equal split on ties."""
+def _fill_capacity2(levels: np.ndarray, N: float) -> np.ndarray:
+    """Aufbau with two electrons per spatial level, equal split on ties (levels within 1e-6)."""
     occ = np.zeros_like(levels)
     remaining = float(N)
     i = 0
     while i < levels.size and remaining > 1e-12:
-        shell = np.flatnonzero((levels >= levels[i] - 1e-300) & (levels <= levels[i] + deg))
+        shell = np.flatnonzero((levels >= levels[i] - 1e-300) & (levels <= levels[i] + 1e-6))
         shell = shell[shell >= i]
         cap = 2.0 * shell.size
         if remaining >= cap - 1e-12:
@@ -85,7 +85,6 @@ def scf_solve_spinless(
     *,
     tol: float = 1e-10,
     eig_tol: float | None = None,
-    s_nuc: float | None = None,
     seed: int = 7,
 ) -> SpinlessResult:
     """Solve the non-magnetic problem with scalar orbitals.
@@ -95,14 +94,13 @@ def scf_solve_spinless(
     can be compared at matching tightness.  The eigensolver tolerance
     follows the spinor path's schedule, driven by the orbital residual,
     and convergence needs it to have reached ``eig_tol``.  The orbitals
-    are real and the eigensolves run in float64 (``real=True``).
+    are real and the eigensolves run in float64 (``real=True``).  The
+    nuclei carry the default smearing of :func:`external_potential`.
     """
     cell = spec.cell
     if eig_tol is None:
         eig_tol = max(1e-10, 0.1 * tol)
-    if s_nuc is None:
-        s_nuc = 2.0 * cell.spacing
-    V = external_potential(spec, s_nuc=s_nuc)
+    V = external_potential(spec)
     n_spatial = int(math.ceil(spec.N / 2.0 - 1e-12)) + 2
 
     # initial density: one broad Gaussian per nucleus

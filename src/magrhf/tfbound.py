@@ -82,8 +82,9 @@ class RadialGrid:
     def integrate(self, f: np.ndarray) -> float:
         return float(np.sum(self.weights * f))
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        return RadialGrid(self.r_min, self.r_max, factor * (self.points - 1) + 1)
+    def refined(self) -> "RadialGrid":
+        """The grid with every log-spacing halved."""
+        return RadialGrid(self.r_min, self.r_max, 2 * (self.points - 1) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,9 +282,7 @@ def beta_lower_bound_chain(
     z: float,
     constants: dict[str, float] | None = None,
     *,
-    i_tf: float | None = None,
-    grid: RadialGrid | None = None,
-    tf_tol: float = 1e-7,
+    i_tf: float,
 ) -> ChainLedger:
     """Assemble the z^(7/6) lower bound on the zero-mode value.
 
@@ -293,8 +292,9 @@ def beta_lower_bound_chain(
     Young with exponents (8/3, 8/5) choosing the split so half the
     Lieb-Thirring term survives; drop the bounded-below remainder
     ``Y^2/2 - c Y^(6/5)``; rescale with ``a = z``, ``b = z^(-5/6)``,
-    penalty ``lam = (4 / C_LT) z^(7/6)``; and evaluate the Thomas-Fermi
-    energy.  Every step is recorded in the returned ledger.
+    penalty ``lam = (4 / C_LT) z^(7/6)``; and add the Thomas-Fermi
+    energy ``i_tf`` (from :func:`tf_minimize`).  Every step is recorded
+    in the returned ledger.
     """
     if z <= 0:
         raise ValueError(f"nuclear charge must be positive, got z={z}")
@@ -303,9 +303,6 @@ def beta_lower_bound_chain(
     c_sob = float(consts.get("C_sobolev", C_SOBOLEV_SHARP))
     if c_lt <= 0 or c_sob <= 0:
         raise ValueError("inequality constants must be positive")
-    if i_tf is None:
-        result = tf_minimize(grid, tol=tf_tol)
-        i_tf = result.energy
     eps = c_lt / 4.0
     c_young = (5.0 / 8.0) * (3.0 / (8.0 * eps)) ** (3.0 / 5.0) * c_sob ** (-3.0 / 5.0)
     # sup over Y >= 0 of c Y^(6/5) - Y^2 / 2

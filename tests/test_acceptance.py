@@ -272,7 +272,7 @@ def test_criterion_10_tf_bound(tf_default):
     assert tf_default.converged
     assert tf_default.energy < 0.0
     assert tf_default.kkt <= 1e-6
-    fine = tf_minimize(RadialGrid().refined(2), tol=1e-6)
+    fine = tf_minimize(RadialGrid().refined(), tol=1e-6)
     assert abs(fine.energy - tf_default.energy) <= 1e-4 * abs(tf_default.energy)
     led1 = beta_lower_bound_chain(1.0, i_tf=tf_default.energy)
     for z in (2.0, 8.0):

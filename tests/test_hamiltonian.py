@@ -268,8 +268,8 @@ def test_real_zero_a_kinetic_is_the_real_part_of_the_complex_path():
     assert np.abs(cell.to_spectral(X)[..., 4, 4, 4]).min() > 0.0
     w = rng.standard_normal((8,) * 3)
     for weight in (None, w):
-        real = _kinetic(cell, X, None, weight)
-        full = _kinetic(cell, X.astype(complex), None, weight)
+        real = _kinetic(cell, X, weight)
+        full = _kinetic(cell, X.astype(complex), weight)
         assert real.dtype == np.float64
         assert np.abs(real - full.real).max() <= 1e-14 * np.abs(full).max()
 

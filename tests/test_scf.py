@@ -11,17 +11,18 @@ from conftest import bandlimited_scalar, bandlimited_vector
 from numpy.testing import assert_allclose
 
 from magrhf import scf
-from magrhf.density import current, density, magnetisation
+from magrhf.density import DensityMatrix, current, density, magnetisation
 from magrhf.fields import (
     Cell,
     ScalarField,
+    SpinorField,
     VectorField,
     curl,
     divergence,
     helmholtz_project,
     transverse_spectral,
 )
-from magrhf.hamiltonian import MagneticPotential, Nucleus, SystemSpec
+from magrhf.hamiltonian import PAULI, MagneticPotential, Nucleus, SystemSpec
 from magrhf.scf import (
     EigensolveError,
     SCFConfig,
@@ -318,6 +319,10 @@ def test_fermi_fill_degenerate_split():
     occ, ef = fermi_fill(np.array([-1.0, -1.0]), 1.0)
     assert_allclose(occ, [0.5, 0.5])
     assert ef == -1.0
+    # at deg_threshold = 0 every level is its own shell, equal levels included:
+    # the first member of a spin pair takes the electron, and the state polarises
+    occ, ef = fermi_fill(np.array([-1.0, -1.0]), 1.0, 0.0)
+    assert occ.tolist() == [1.0, 0.0] and ef == -1.0
 
 
 def test_fermi_fill_fractional_against_sort_and_fill_oracle():
@@ -704,8 +709,8 @@ def _pinned_he() -> tuple[SystemSpec, SCFConfig]:
 
 @pytest.mark.parametrize("case", ["zero_A", "zero_deg_threshold", "nonzero_A"])
 def test_scf_selects_the_spin_block_solve(monkeypatch, case):
-    # H fills 1 level of a block of 4 spinors; at A = 0 with deg_threshold > 0
-    # the fine and the half-grid solve run on 2 scalar rows, else on 4 spinors
+    # H fills 1 level of a block of 4 spinors; at A = 0, whatever deg_threshold,
+    # the fine and the half-grid solve run on 2 scalar rows, at A != 0 on 4 spinors
     spec, initial = _unpolarised_h(), None
     if case == "nonzero_A":
         spec = replace(spec, alpha=0.2)
@@ -715,7 +720,7 @@ def test_scf_selects_the_spin_block_solve(monkeypatch, case):
     fine, coarse = _record_solves(monkeypatch, "eigensolve"), _record_solves(monkeypatch, "_lobpcg")
     cfg = SCFConfig(tol=1e-6, deg_threshold=0.0 if case == "zero_deg_threshold" else 1e-6, max_iter=1, seed=0)
     state = scf_solve(spec, cfg, initial=initial)
-    components, rows = (1, 2) if case == "zero_A" else (2, 4)
+    components, rows = (2, 4) if case == "nonzero_A" else (1, 2)
     for call in fine + coarse:
         assert (call["kwargs"]["components"], call["kwargs"]["block"]) == (components, rows)
         assert call["orbitals"].shape[:2] == (rows, components)
@@ -725,29 +730,43 @@ def test_scf_selects_the_spin_block_solve(monkeypatch, case):
     assert len(state.levels) == len(state.gamma.orbitals) == 4
 
 
-def test_scf_spin_block_matches_spinor_solve():
-    # the oracle of the spin-block solve is the 2-component solve of the same
-    # A = 0 operator, which deg_threshold = 0 selects
+def _pinned_he_and_spinor_oracle(monkeypatch):
+    """The pinned He state, and the levels and orbitals of a direct 2-component
+    solve of the A = 0 operator of its last evaluation (4 levels, block 6)."""
     spec, cfg = _pinned_he()
-    block = scf_solve(spec, cfg)
-    spinor = scf_solve(spec, replace(cfg, deg_threshold=0.0))
-    assert block.converged and spinor.converged
-    assert abs(block.energy.total - spinor.energy.total) <= 1e-12 * abs(spinor.energy.total)
-    rho, rho_spinor = density(block.gamma).values, density(spinor.gamma).values
-    assert np.abs(rho - rho_spinor).max() <= 1e-10
+    calls = _record_solves(monkeypatch, "eigensolve")
+    state = scf_solve(spec, cfg)
+    apply_h, cell, count = calls[-1]["args"]
+    kwargs = calls[-1]["kwargs"]
+    assert kwargs["components"] == 1 and (count, kwargs["block"]) == (2, 3)
+    levels, X, *_ = eigensolve(
+        apply_h, cell, 2 * count, block=2 * kwargs["block"], tol=1e-11, max_iter=scf.EIG_MAXITER, seed=1
+    )
+    calls.clear()
+    return spec, cfg, state, levels, X, calls
+
+
+def test_scf_spin_block_matches_spinor_solve(monkeypatch):
+    # the oracle of the spin-block solve is a direct 2-component solve of the
+    # same A = 0 operator, h (x) 1 on spinor rows
+    spec, _, state, levels, X, _ = _pinned_he_and_spinor_oracle(monkeypatch)
+    assert state.converged
     # the 4 converged levels: exact pairs, and the spinor levels to the eigensolver tolerance
-    assert np.array_equal(block.levels[0:4:2], block.levels[1:4:2])
-    assert np.abs(block.levels[:4] - spinor.levels[:4]).max() <= 1e-9
+    assert np.array_equal(state.levels[0:4:2], state.levels[1:4:2])
+    assert np.abs(state.levels[:4] - levels[:4]).max() <= 1e-9
+    # both fill the 1s pair: the same density, whatever spin directions the solve mixed
+    rho_spinor = np.sum(np.abs(X[:2]) ** 2, axis=(0, 1))
+    rho = density(state.gamma).values
+    assert np.abs(rho - rho_spinor).max() <= 1e-9 * rho.max()
 
 
 def test_scf_spin_block_warm_starts_from_a_spinor_state(monkeypatch):
-    # He's block of 5 spinor orbitals from a deg_threshold = 0 run becomes 3
+    # He's block of 6 spinor orbitals from a 2-component solve becomes 3
     # scalar rows: the whitened span of their components, its 3 largest directions
-    spec, cfg = _pinned_he()
-    spinor = scf_solve(spec, replace(cfg, deg_threshold=0.0))
-    cold = scf_solve(spec, cfg)
-    calls = _record_solves(monkeypatch, "eigensolve")
-    warm = scf_solve(spec, cfg, initial=(spinor.gamma, spinor.A))
+    spec, cfg, cold, levels, X, calls = _pinned_he_and_spinor_oracle(monkeypatch)
+    occ, _ = fermi_fill(levels, spec.N)
+    spinor = DensityMatrix(tuple(SpinorField(spec.cell, x) for x in X), occ)
+    warm = scf_solve(spec, cfg, initial=(spinor, MagneticPotential.zero(spec.cell)))
     assert warm.converged
     assert abs(warm.energy.total - cold.energy.total) <= 1e-12 * abs(cold.energy.total)
     first = calls[0]
@@ -756,15 +775,15 @@ def test_scf_spin_block_warm_starts_from_a_spinor_state(monkeypatch):
 
 
 def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
-    # three electrons fill a block of three spinors, phi_0 up and down and
-    # phi_1 up: the first iterate polarises, and the second solve, at A != 0,
-    # starts from the spinor pairs of the first solve's scalar rows
+    # a zero-threshold fill of three electrons takes phi_0 (x) chi, phi_0 (x) chi_perp
+    # and phi_1 (x) chi: the first iterate polarises, and the second solve, at
+    # A != 0, starts from the spinor pairs of the first solve's scalar rows
     spec = SystemSpec(Cell(8.0, 12), (Nucleus(3.0, (4.0,) * 3),), N=3.0, alpha=0.2)
     calls = _record_solves(monkeypatch, "eigensolve")
-    scf_solve(spec, SCFConfig(tol=1e-7, eig_block=3, max_iter=2, seed=0))
+    scf_solve(spec, SCFConfig(tol=1e-7, eig_block=4, deg_threshold=0.0, max_iter=2, seed=0))
     first, second = calls
     assert first["kwargs"]["components"] == 1 and second["kwargs"]["components"] == 2
-    assert np.array_equal(second["X0"], scf._spin_pairs(first["orbitals"], 3))
+    assert np.array_equal(second["X0"], scf._spin_pairs(first["orbitals"], 4, scf._spin_axis(0)))
     # the paired start beats a random one on the same operator
     random = eigensolve(*second["args"], **second["kwargs"])
     assert np.abs(random[0][:2] - second["levels"][:2]).max() <= second["kwargs"]["tol"]
@@ -772,12 +791,54 @@ def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
 
 
 def test_spin_pairs_of_real_rows_are_complex_spinors():
+    # along chi = up the pairs are phi (x) up and phi (x) down
     X = np.random.default_rng(0).standard_normal((2, 1, 4, 4, 4))
-    pairs = scf._spin_pairs(X, 3)
+    pairs = scf._spin_pairs(X, 3, np.array([1.0, 0.0], dtype=complex))
     assert pairs.dtype == np.complex128 and pairs.shape == (3, 2, 4, 4, 4)
     for row, (phi, spin) in enumerate([(0, 0), (0, 1), (1, 0)]):
         assert np.array_equal(pairs[row, spin], X[phi, 0])
         assert not pairs[row, 1 - spin].any()
+
+
+def _spin_direction(chi: np.ndarray) -> np.ndarray:
+    """The unit vector chi^+ sigma chi of a unit spinor."""
+    return np.real(np.einsum("s,ist,t->i", chi.conj(), PAULI, chi))
+
+
+def test_scf_polarises_along_the_seeded_spin_axis():
+    # a zero-threshold fill of H takes phi (x) chi of the run's axis chi, so the
+    # first iterate's moment lies along chi^+ sigma chi; the axis is a function
+    # of the seed alone
+    spec = replace(_unpolarised_h(), alpha=0.2)
+    axes = []
+    for seed in (0, 0, 1):
+        state = scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=1, seed=seed))
+        moment = magnetisation(state.gamma).values.sum(axis=(1, 2, 3)) * spec.cell.dV
+        axes.append(moment)
+        assert np.abs(moment - _spin_direction(scf._spin_axis(seed))).max() <= 1e-12
+    assert np.array_equal(axes[0], axes[1])
+    assert np.abs(axes[0] - axes[2]).max() > 0.1
+
+
+def test_spin_pairs_along_an_axis_are_orthonormal_and_pair_to_zero_spin():
+    # phi (x) chi and phi (x) chi_perp are orthonormal for orthonormal phi, the
+    # first is polarised along chi^+ sigma chi, and an equally filled pair carries
+    # no moment: exactly for a real chi, to the roundoff of the complex products
+    # (which may be fused multiply-adds) for a complex one
+    cell = Cell(6.0, 6)
+    phi = np.linalg.qr(np.random.default_rng(5).standard_normal((6**3, 2)))[0].T / math.sqrt(cell.dV)
+    scale = np.max(phi**2)
+    for chi, exact in ((np.array([0.6, 0.8], dtype=complex), True), (scf._spin_axis(3), False)):
+        pairs = scf._spin_pairs(phi.reshape(2, 1, 6, 6, 6), 4, chi)
+        flat = pairs.reshape(4, -1)
+        assert np.abs(flat.conj() @ flat.T * cell.dV - np.eye(4)).max() <= 1e-13
+        orbitals = tuple(SpinorField(cell, x) for x in pairs)
+        m = magnetisation(DensityMatrix(orbitals, [1.0, 0.0, 0.0, 0.0])).values
+        want = _spin_direction(chi)[:, None, None, None] * phi[0].reshape(6, 6, 6) ** 2
+        assert np.abs(m - want).max() <= 1e-15 * scale
+        for occ in ([0.5, 0.5, 0.0, 0.0], [1.0, 1.0, 0.3, 0.3]):
+            m = magnetisation(DensityMatrix(orbitals, occ)).values
+            assert not m.any() if exact else np.abs(m).max() <= 1e-15 * scale
 
 
 def test_spatial_rows_of_rotated_spinors_span_the_spatial_rows():
@@ -1003,11 +1064,27 @@ def test_scf_eigensolver_failure_on_first_iterate_raises(monkeypatch):
 
 
 def test_scf_solve_rejects_block_below_occupied_levels():
-    # three electrons need three levels in the eigensolver's block
+    # three electrons need three levels and a guard row in the eigensolver's block
     spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=3.0, alpha=0.02)
-    with pytest.raises(ValueError, match="eig_block=2 cannot hold"):
-        scf_solve(spec, SCFConfig(eig_block=2, seed=0))
-    assert SCFConfig(eig_block=3).check_block(spec.N) == 3
+    for block in (2, 3):
+        with pytest.raises(ValueError, match=f"eig_block={block} cannot hold 3 occupied levels of N=3.0 and a guard"):
+            scf_solve(spec, SCFConfig(eig_block=block, seed=0))
+    assert SCFConfig(eig_block=4).check_block(spec.N) == 3
+
+
+def test_scf_smallest_block_keeps_a_guard_row(monkeypatch):
+    # Li at alpha = 0.2 in the smallest block, ceil(N) + 1: every solve finds the
+    # lowest levels that a solve of twice the block finds, to its tolerance (at
+    # A = 0 and, once the zero-threshold fill polarises, at A != 0); a block of
+    # ceil(N) returned a higher third level here
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(3.0, (4.0,) * 3),), N=3.0, alpha=0.2)
+    calls = _record_solves(monkeypatch, "eigensolve")
+    scf_solve(spec, SCFConfig(tol=1e-7, eig_block=4, deg_threshold=0.0, max_iter=2, seed=0))
+    assert [call["kwargs"]["components"] for call in calls] == [1, 2]
+    for call in calls:
+        apply_h, cell, count = call["args"]
+        wide = eigensolve(apply_h, cell, count, **{**call["kwargs"], "block": 2 * call["kwargs"]["block"]})
+        assert np.abs(call["levels"][:count] - wide[0][:count]).max() <= call["kwargs"]["tol"]
 
 
 # ------------------------------------------------------------------ alpha scan

@@ -86,7 +86,7 @@ def test_tf_minimize_converges_and_is_stable():
     assert res.iterations <= 200
     # regression value of I_TF on the default grid
     assert abs(res.energy - (-2.1924723066335874)) <= 1e-12 * 2.1924723066335874
-    fine = tf_minimize(GRID.refined(2), tol=1e-7)
+    fine = tf_minimize(GRID.refined(), tol=1e-7)
     assert abs(fine.energy - res.energy) < 1e-4 * abs(res.energy)
 
 
@@ -156,8 +156,10 @@ def test_chain_young_and_offset_steps(tf_default):
 
 
 def test_chain_runs_tf_on_demand():
-    led = beta_lower_bound_chain(1.0, grid=RadialGrid(points=512), tf_tol=1e-5)
-    assert led.i_tf < 0.0
+    # the chain takes the Thomas-Fermi energy of any tf_minimize run
+    tf = tf_minimize(RadialGrid(points=512), tol=1e-5)
+    led = beta_lower_bound_chain(1.0, i_tf=tf.energy)
+    assert led.i_tf == tf.energy < 0.0
 
 
 def test_sandwich_with_rank1_upper_bound(tf_default, family):
