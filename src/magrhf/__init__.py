@@ -17,6 +17,7 @@ from .density import (
     density,
     kinetic_inequality_report,
     kinetic_laplacian_trace,
+    kinetic_terms,
     magnetisation,
     physical_current,
     total_energy,

@@ -10,10 +10,9 @@ vectors are zeroed on the Nyquist planes; the part of ``|k|^2`` they
 drop there is added back, so A = 0 gives ``(1/2) |k|^2`` exactly, at
 2 FFTs per component.  ``D`` is Hermitian on the grid, so ``T_A`` is
 ``D^+ D / 2`` plus that nonnegative Nyquist term: nonnegative whatever
-the gauge or the resolution of ``A``.  The spin-free ``(p + A)^2`` of
-the audits is the sum of squares ``sum_i (p_i + A_i)^2`` plus the same
-Nyquist term (8 FFTs per component), so it is ``sum_i (p_i + A_i)^+
-(p_i + A_i)`` on the grid: Hermitian and nonnegative to roundoff.
+the gauge or the resolution of ``A``.  The spin-free ``(p + A)^2`` is
+``sum_i (p_i + A_i)^+ (p_i + A_i)`` plus the same Nyquist term on the
+grid, so it is Hermitian and nonnegative to roundoff.
 
 Nuclear potentials use the periodic Coulomb kernel (Fourier symbol
 ``4 pi / |k|^2`` with the ``k = 0`` mode dropped).  Molecular systems
@@ -287,13 +286,13 @@ def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential
 
 
 def apply_magnetic_laplacian(psi: SpinorField, A: MagneticPotential | None) -> SpinorField:
-    """Apply ``(p + A)^2 = sum_i (p_i + A_i)^2`` to a spinor, plus the Nyquist term.
+    """Apply the spin-free ``(p + A)^2 = sum_i (p_i + A_i)^2`` to one spinor, plus the Nyquist term.
 
-    With ``c`` the series of ``psi``, each ``u_i = F^-1(k_i c) + A_i psi``
-    costs one inverse transform and its ``k_i F(u_i)`` one forward
-    transform; their sum and ``(k2_full - k2) c`` go back in one inverse
-    transform, and ``sum_i A_i u_i`` is added on the grid.  That is 8
-    transforms per component; A = 0 takes the free kernel at 2.
+    Each ``u_i = F^-1(k_i c) + A_i psi`` (``c`` the series of ``psi``) and
+    its ``k_i F(u_i)`` cost one transform each; their sum and
+    ``(k2_full - k2) c`` go back in one more, and ``sum_i A_i u_i`` is
+    added on the grid: 8 transforms per component, 2 at A = 0.  Its
+    trace over a state is :func:`magrhf.density.kinetic_laplacian_trace`.
     """
     cell = psi.cell
     a = _vector_potential(cell, A)
@@ -334,7 +333,7 @@ def apply_pauli_kinetic(psi: SpinorField, A: MagneticPotential | None) -> Spinor
     """Apply the Pauli kinetic operator ``(1/2) [sigma . (p + A)]^2``.
 
     The single-spinor form of :func:`make_hamiltonian`: 8 transforms
-    with A != 0, 2 with A = 0.
+    with A != 0 and 4 with A = 0, that is 4 and 2 per spin component.
     """
     return SpinorField(psi.cell, make_hamiltonian(psi.cell, None, A)(psi.values))
 

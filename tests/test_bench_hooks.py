@@ -73,3 +73,6 @@ def test_traced_cold_solve_counts_one_eigensolve_per_evaluation(monkeypatch):
     assert len(eigensolves) == evaluations == state.iteration
     blocks = [i for i, s in enumerate(tracer.spans) if s.name == "hamiltonian.apply" and s.attrs["block"]]
     assert blocks and all(tracer.inside(i, ("scf.eigensolve",)) for i in blocks)
+    # the energy and the audit read the evaluation's derivative pass: no
+    # kinetic operator is applied outside the eigensolver
+    assert metrics["hamiltonian.reapply.vectors"] == 0

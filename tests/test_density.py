@@ -12,6 +12,7 @@ from magrhf.density import (
     density,
     kinetic_inequality_report,
     kinetic_laplacian_trace,
+    kinetic_terms,
     magnetisation,
     physical_current,
     total_energy,
@@ -29,6 +30,8 @@ from magrhf.hamiltonian import (
     MagneticPotential,
     Nucleus,
     SystemSpec,
+    apply_magnetic_laplacian,
+    apply_pauli_kinetic,
     apply_sigma_kinetic_root,
     external_potential,
     green_function_GR,
@@ -171,6 +174,52 @@ def test_gauge_shift_preserves_physical_current():
     p2 = physical_current(density(gamma2), current(gamma2), A2)
     scale = max(p1.norm(), 1e-10)
     assert np.abs(p2.values - p1.values).max() < 1e-9 * scale
+
+
+def _white_noise_state(cell, seed):
+    """Three orthonormal white-noise spinors (Nyquist content included) with
+    fractional occupations, and a random transverse potential."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * cell.n**3
+    q, _ = np.linalg.qr(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
+    orbs = tuple(SpinorField(cell, q[:, i].reshape((2,) + (cell.n,) * 3) / np.sqrt(cell.dV)) for i in range(3))
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.4 * bandlimited_vector(cell, rng, 0.3).values)))
+    return DensityMatrix(orbs, np.array([1.0, 0.6, 0.25])), A
+
+
+def _assert_pass_matches_per_orbital_applies(gamma, A):
+    # the pass against the code it replaced: the single-spinor kinetic
+    # operators applied orbital by orbital, and the spectral gradient
+    cell = gamma.cell
+    kinetic = trace = 0.0
+    j = np.zeros((3,) + (cell.n,) * 3)
+    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
+        kinetic += n_k * inner(phi, apply_pauli_kinetic(phi, A)).real
+        trace += n_k * inner(phi, apply_magnetic_laplacian(phi, A)).real
+        grad = cell.from_spectral(1j * cell.k[:, None] * phi.spectral()[None])
+        j += 2.0 * n_k * np.sum(np.imag(np.conjugate(phi.values) * grad), axis=1)
+    rho, j_pass, kinetic_pass, trace_pass = kinetic_terms(gamma, A)
+    assert np.array_equal(rho.values, density(gamma).values)
+    assert np.abs(j_pass.values - j).max() <= 1e-13 * np.abs(j).max()
+    assert abs(kinetic_pass - kinetic) <= 1e-13 * kinetic
+    assert abs(trace_pass - trace) <= 1e-13 * trace
+
+
+@pytest.mark.parametrize("n, L", [(8, 6.0), (24, 9.0)])
+@pytest.mark.parametrize("magnetic", [False, True])
+def test_kinetic_terms_match_per_orbital_applies(n, L, magnetic):
+    cell = Cell(L, n)
+    gamma, A = _white_noise_state(cell, seed=n)
+    _assert_pass_matches_per_orbital_applies(gamma, A if magnetic else MagneticPotential.zero(cell))
+
+
+def test_kinetic_terms_match_per_orbital_applies_on_a_polarised_scf_state():
+    from magrhf.scf import SCFConfig, scf_solve
+
+    spec = SystemSpec(Cell(12.0, 24), (Nucleus(1.0, (6.0, 6.0, 6.0)),), N=1.0, alpha=0.2)
+    state = scf_solve(spec, SCFConfig(tol=1e-8, deg_threshold=0.0, max_iter=6, seed=0))
+    assert not state.A.is_zero()
+    _assert_pass_matches_per_orbital_applies(state.gamma, state.A)
 
 
 def test_total_energy_matches_dense_contraction():

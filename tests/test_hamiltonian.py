@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import erf
 
+from magrhf.density import DensityMatrix, kinetic_inequality_report, kinetic_terms
 from magrhf.fields import (
     Cell,
     ScalarField,
@@ -245,6 +246,25 @@ def test_kinetic_transform_counts(transforms):
     assert transforms(apply_magnetic_laplacian, psi, A) == 16
     assert transforms(apply_sigma_kinetic_root, psi, A) == 4
     assert transforms(apply_sigma_kinetic_root, psi, None) == 4
+
+
+def test_kinetic_terms_transform_counts(transform_rows):
+    # one forward and three inverse transforms per occupied component at any
+    # A; the audit adds only the four scalar transforms of its
+    # Hoffmann-Ostenhof gradient, and reads a pass already taken in the
+    # same potential object instead of transforming the orbitals again
+    cell, A, X = _small_magnetic_problem()
+    q, _ = np.linalg.qr(X.reshape(3, -1).T)
+    orbs = tuple(SpinorField(cell, q[:, i].reshape(X.shape[1:]) / np.sqrt(cell.dV)) for i in range(3))
+    for pot in (A, MagneticPotential.zero(cell), None):
+        transform_rows.clear()
+        kinetic_terms(DensityMatrix(orbs, np.array([1.0, 0.5, 0.0])), pot)
+        assert transform_rows == {"to_spectral": 4, "from_spectral": 12}
+    gamma = DensityMatrix(orbs[:1], np.array([1.0]))
+    for pot, orbital_transforms in ((A, 2), (A, 0), (MagneticPotential(A.A, check_gauge=False), 2)):
+        transform_rows.clear()
+        kinetic_inequality_report(gamma, pot)
+        assert transform_rows == {"to_spectral": orbital_transforms + 1, "from_spectral": 3 * orbital_transforms + 3}
 
 
 def test_real_zero_a_apply_takes_the_half_spectrum(transform_rows):
