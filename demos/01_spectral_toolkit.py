@@ -21,8 +21,9 @@ from magrhf import (
 cell = Cell(L=10.0, n=32)
 print(f"cell: L = {cell.L} bohr, {cell.n}^3 grid, spacing {cell.spacing:.3f} bohr")
 
-# vector identities hold mode by mode, not just approximately
-x = cell.coords
+# vector identities hold mode by mode, not just approximately; the cell keeps its
+# coordinates as three broadcast axes, spread here to full (n, n, n) grids
+x = np.broadcast_arrays(*cell.coords)
 f = ScalarField(cell, np.cos(2 * np.pi * x[0] / cell.L) * np.sin(4 * np.pi * x[1] / cell.L))
 print("max |curl grad f|      =", np.abs(curl(gradient(f)).values).max())
 
@@ -44,8 +45,8 @@ print("single-mode phi error  =", np.abs(phi.values - 4 * np.pi / k**2 * rho.val
 
 # and a narrow Gaussian reproduces the screened point-charge profile
 s = 0.6
-d = cell.displacements((5.0, 5.0, 5.0))
-r2 = np.sum(d * d, axis=0)
+dx, dy, dz = cell.displacements((5.0, 5.0, 5.0))
+r2 = dx * dx + dy * dy + dz * dz
 gauss = ScalarField(cell, np.exp(-0.5 * r2 / s**2) / (2 * np.pi * s**2) ** 1.5)
 phi = poisson_potential(gauss)
 center = (cell.n // 2,) * 3

@@ -25,8 +25,8 @@ cell = Cell(L=12.0, n=96)
 g = green_function_GR(cell)
 print("periodic Green's function on a 96^3 grid:")
 print(f"  cell mean = {g.mean():.2e}")
-d = cell.displacements((6.0, 6.0, 6.0))
-r = np.sqrt(np.sum(d * d, axis=0))
+dx, dy, dz = cell.displacements((6.0, 6.0, 6.0))
+r = np.sqrt(dx * dx + dy * dy + dz * dz)
 mid = cell.n // 2
 print("  G(x) |x| along the diagonal (to 1 as x -> 0):")
 for j in (12, 8, 4, 2):

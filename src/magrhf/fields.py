@@ -10,6 +10,10 @@ in Fourier space.  The spectral convention is
 truncated to the grid, so ``c_k = fftn(f) / n**3``.  The ``k = 0`` mode
 is the cell mean and is individually addressable (index ``[0, 0, 0]``).
 
+The wave vectors, coordinates and displacements of a :class:`Cell` vary
+along one axis each, so they are kept as three 1-D axes that broadcast
+against (..., n, n, n) arrays; no dense (3, n, n, n) table is built.
+
 Fields are immutable values: the sample arrays are frozen after
 construction and every operation returns a new field, so instances are
 safe to share across threads.
@@ -44,6 +48,9 @@ __all__ = [
 # MAGRHF_THREADS caps the worker pool handed to the FFT backend.
 _FFT_WORKERS = max(1, int(os.environ.get("MAGRHF_THREADS", "1")))
 
+#: a table that varies along one grid axis per entry: shapes (n, 1, 1), (1, n, 1), (1, 1, n)
+Axes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class CellMismatchError(ValueError):
     """Raised when an operation mixes fields living on different cells."""
@@ -54,7 +61,13 @@ class Cell:
     """Cubic periodic cell with edge ``L`` (bohr) and ``n`` points per axis.
 
     ``n`` must be even and at least 4 so that every axis carries a full
-    set of symmetric modes plus the Nyquist plane.
+    set of symmetric modes plus the Nyquist plane.  The wave vectors
+    :attr:`k`, the coordinates :attr:`coords` and :meth:`displacements`
+    are separable: each is a tuple of three 1-D axes with shapes
+    (n, 1, 1), (1, n, 1) and (1, 1, n).  The moduli :attr:`k2`,
+    :attr:`k2_full`, :attr:`inv_k2` and :attr:`inv_k2_deriv` are full
+    (n, n, n) tables.  The cached tables are built on first read and
+    kept read-only.
     """
 
     L: float
@@ -79,34 +92,34 @@ class Cell:
         return (self.L / self.n) ** 3
 
     @cached_property
-    def k(self) -> np.ndarray:
-        """Derivative wave vectors, shape (3, n, n, n), fftfreq layout.
+    def k(self) -> Axes:
+        """Derivative wave vectors as three broadcast axes, fftfreq layout.
 
-        The Nyquist plane is zeroed: with an even grid the Nyquist mode
-        has no signed partner, so odd multipliers built from it would
-        break the Hermitian symmetry of real fields.  All first-order
-        spectral derivatives share these vectors, which keeps the vector
+        ``k[i]`` holds the wave numbers of axis ``i`` along that axis only,
+        with shape (n, 1, 1), (1, n, 1) or (1, 1, n), so ``k[i] * c``
+        broadcasts over a grid array without an (n, n, n) table.  The
+        Nyquist entry is zeroed: with an even grid the Nyquist mode has
+        no signed partner, so odd multipliers built from it would break
+        the Hermitian symmetry of real fields.  All first-order spectral
+        derivatives share these vectors, which keeps the vector
         identities exact mode by mode.
         """
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        k1 = self._wave_numbers()
         k1[self.n // 2] = 0.0
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        k = np.stack([kx, ky, kz])
-        k.setflags(write=False)
-        return k
+        return self._axes(k1)
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """|k|^2 of the derivative vectors (Nyquist-zeroed), for p^2."""
-        k2 = np.sum(self.k**2, axis=0)
+        """|k|^2 of the derivative vectors (Nyquist-zeroed), for p^2, shape (n, n, n)."""
+        kx, ky, kz = self.k
+        k2 = kx**2 + ky**2 + kz**2
         k2.setflags(write=False)
         return k2
 
     @cached_property
     def k2_full(self) -> np.ndarray:
-        """True |k|^2 of every grid mode, Nyquist included."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+        """True |k|^2 of every grid mode, Nyquist included, shape (n, n, n)."""
+        kx, ky, kz = self._axes(self._wave_numbers())
         k2 = kx**2 + ky**2 + kz**2
         k2.setflags(write=False)
         return k2
@@ -147,17 +160,23 @@ class Cell:
         return inv
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Grid coordinates in [0, L), shape (3, n, n, n)."""
-        x1 = self.spacing * np.arange(self.n)
-        xs = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
-        xs.setflags(write=False)
-        return xs
+    def coords(self) -> Axes:
+        """Grid coordinates in [0, L) as three broadcast axes, like :attr:`k`."""
+        return self._axes(self.spacing * np.arange(self.n))
 
-    def displacements(self, center: np.ndarray | tuple[float, float, float]) -> np.ndarray:
-        """Minimum-image displacement x - center, componentwise in [-L/2, L/2)."""
-        c = np.asarray(center, dtype=float).reshape(3, 1, 1, 1)
-        return (self.coords - c + 0.5 * self.L) % self.L - 0.5 * self.L
+    def displacements(self, center: np.ndarray | tuple[float, float, float]) -> Axes:
+        """Minimum-image displacement x - center, componentwise in [-L/2, L/2), as broadcast axes."""
+        c = np.asarray(center, dtype=float)
+        return tuple((x - c_i + 0.5 * self.L) % self.L - 0.5 * self.L for x, c_i in zip(self.coords, c))
+
+    def _wave_numbers(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+
+    @staticmethod
+    def _axes(v: np.ndarray) -> Axes:
+        """The 1-D table ``v`` laid along each grid axis, shapes (n, 1, 1), (1, n, 1), (1, 1, n)."""
+        v.setflags(write=False)  # and so its views
+        return tuple(v.reshape([-1 if i == axis else 1 for i in range(3)]) for axis in range(3))
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Series coefficients ``fftn(values) / n**3`` over the last three axes."""
@@ -303,7 +322,7 @@ def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
     cell = f.cell
     c = f.spectral()
-    grad = cell.from_spectral(1j * cell.k * c[None]).real
+    grad = cell.from_spectral(np.stack([1j * k_i * c for k_i in cell.k])).real
     return VectorField(cell, grad)
 
 
@@ -311,7 +330,8 @@ def divergence(v: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     cell = v.cell
     c = v.spectral()
-    div = cell.from_spectral(np.sum(1j * cell.k * c, axis=0)).real
+    k = cell.k
+    div = cell.from_spectral(1j * k[0] * c[0] + 1j * k[1] * c[1] + 1j * k[2] * c[2]).real
     return ScalarField(cell, div)
 
 
@@ -330,7 +350,8 @@ def curl(v: VectorField) -> VectorField:
 def transverse_spectral(cell: Cell, c: np.ndarray) -> np.ndarray:
     """``c_k - k (k . c_k) / |k|^2`` for the (3, n, n, n) spectral coefficients ``c``."""
     k = cell.k
-    return c - k * (np.sum(k * c, axis=0) * cell.inv_k2_deriv)[None]
+    t = (k[0] * c[0] + k[1] * c[1] + k[2] * c[2]) * cell.inv_k2_deriv
+    return np.stack([c_i - k_i * t for k_i, c_i in zip(k, c)])
 
 
 def helmholtz_project(v: VectorField, *, zero_mean: bool = False) -> VectorField:

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
+    Axes,
     Cell,
     CellMismatchError,
     ScalarField,
@@ -205,8 +206,9 @@ def _kinetic(cell: Cell, X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 _Sigma = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sigma_entries(v: np.ndarray) -> _Sigma:
-    """The entries of ``sigma . v`` for ``v`` of shape (3, n, n, n); ``v_z`` is a view."""
+def _sigma_entries(v: np.ndarray | Axes) -> _Sigma:
+    """The entries of ``sigma . v`` for the three components of ``v``, full (3, n, n, n) or the
+    broadcast axes of :attr:`~magrhf.fields.Cell.k`; ``v_z`` is not copied."""
     plus = v[0] + 1j * v[1]
     return v[2], plus, plus.conj()
 
@@ -281,7 +283,7 @@ def make_hamiltonian(cell: Cell, v_eff: ScalarField | None, A: MagneticPotential
     v = None if v_eff is None else v_eff.values
     if a is None:
         return lambda X: _kinetic(cell, X, v)
-    k, a = _sigma_entries(np.sqrt(0.5) * cell.k), _sigma_entries(np.sqrt(0.5) * a)
+    k, a = _sigma_entries([np.sqrt(0.5) * k_i for k_i in cell.k]), _sigma_entries(np.sqrt(0.5) * a)
     return lambda X: _half_square(cell, X, k, a, v)
 
 

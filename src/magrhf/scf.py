@@ -402,8 +402,10 @@ def _coarse_start(v_eff: ScalarField, count: int, block: int, tol: float, seed: 
 
 
 def _spin_axis(seed: int) -> np.ndarray:
-    """The unit spinor ``chi`` of a run: generic, since the grid's cubic axes are stationary
-    directions of its anisotropy, where a polarised SCF pays in eigensolver iterations."""
+    """The unit spinor ``chi`` of a run: generic, since the cubic axes are stationary
+    directions of the spin axis's anisotropy, where a polarised SCF pays in eigensolver
+    iterations.  The anisotropy comes from the periodic box: at fixed spacing it falls
+    with the edge ``L``, not with ``n``."""
     z = np.random.default_rng(seed).standard_normal(4)
     return (z[:2] + 1j * z[2:]) / np.linalg.norm(z)
 
@@ -624,8 +626,8 @@ def _initial_density(spec: SystemSpec, s_nuc: float) -> ScalarField:
     rho = np.zeros((cell.n,) * 3)
     for nuc in spec.nuclei:
         width = min(max(3.0 / max(nuc.z, 1.0), 2.0 * cell.spacing), 0.25 * cell.L)
-        d = cell.displacements(nuc.R)
-        g = np.exp(-0.5 * np.sum(d * d, axis=0) / width**2)
+        dx, dy, dz = cell.displacements(nuc.R)
+        g = np.exp(-0.5 * (dx * dx + dy * dy + dz * dz) / width**2)
         rho += max(nuc.z, 1.0) * g / (g.sum() * cell.dV)
     rho *= spec.N / max(rho.sum() * cell.dV, 1e-300)
     return ScalarField(cell, rho)
@@ -803,17 +805,20 @@ def scf_solve(
         orbitals = start
         if spin_block:  # phi (x) chi and phi (x) chi_perp, truncated to the rows a spinor solve returns
             levels = np.repeat(levels, 2)[:block]
-            orbitals, h_orbitals = _spin_pairs(start, block, chi), _spin_pairs(h_orbitals, block, chi)
+            orbitals = _spin_pairs(start, block, chi)
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
+        # the filled rows are a prefix; only they enter the residual, so H X keeps only them
+        filled = int(np.flatnonzero(occ)[-1]) + 1
+        h_orbitals = _spin_pairs(h_orbitals, filled, chi) if spin_block else h_orbitals[:filled].copy()
         gamma = DensityMatrix(
             tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
         )
         rho_out, j, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
         # the orbital residual at the output mean field, whose H differs from
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
-        h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals
-        res_orb = _orbital_residual(cell, orbitals, h_orbitals, occ)
-        del h_orbitals  # the H X block is as large as the orbitals; free it before the field solve
+        h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals[:filled]
+        res_orb = _orbital_residual(cell, orbitals[:filled], h_orbitals, occ[:filled])
+        del h_orbitals  # free the H X rows before the field solve
         m = magnetisation(gamma)
         if config.pin_A:
             A_out, res_field = MagneticPotential.zero(cell), 0.0

@@ -107,8 +107,8 @@ def scf_solve_spinless(
     vals = np.zeros((cell.n,) * 3)
     for nuc in spec.nuclei:
         width = max(0.8 / max(nuc.z, 0.5), 2.0 * cell.spacing)
-        d = cell.displacements(nuc.R)
-        vals += np.exp(-0.5 * np.sum(d * d, axis=0) / width**2)
+        dx, dy, dz = cell.displacements(nuc.R)
+        vals += np.exp(-0.5 * (dx * dx + dy * dy + dz * dz) / width**2)
     vals *= spec.N / (vals.sum() * cell.dV)
     rho = ScalarField(cell, vals)
 

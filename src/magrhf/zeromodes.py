@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import EnergyBreakdown
-from .fields import Cell, SpinorField, VectorField
+from .fields import Axes, Cell, SpinorField, VectorField
 from .hamiltonian import MagneticPotential, apply_sigma_kinetic_root
 
 __all__ = [
@@ -55,6 +55,9 @@ CROSS_SIGN = +1.0
 
 _NORM_C = 1.0 / math.pi  # normalisation c of Psi at lam = 1
 
+#: evaluation points: a (3, ...) array, or three arrays that broadcast together
+Points = np.ndarray | Axes
+
 #: closed-form integrals of the family at lam = 1, ||Psi|| = 1, where
 #: |Psi|^2 = (1 + r^2)^(-2) / pi^2 and |B| = 12 (1 + r^2)^(-2):
 #: I1 = int |Psi|^2 / |x|, D1 = D(|Psi|^2, |Psi|^2) (its potential is
@@ -75,51 +78,56 @@ def spinor_along(w: np.ndarray) -> np.ndarray:
     )
 
 
-def psi_values(points: np.ndarray, w: np.ndarray, *, conj_sign: float = SPINOR_CONJ) -> np.ndarray:
-    """Evaluate Psi at points (3, ...); returns (2, ...) complex, lam = 1."""
+def _components(points: Points) -> Axes:
+    """The three coordinate arrays of ``points``: a (3, ...) array or three broadcastable arrays,
+    such as the axes of :meth:`~magrhf.fields.Cell.displacements`."""
+    x, y, z = (np.asarray(c, dtype=float) for c in points)
+    return x, y, z
+
+
+def psi_values(points: Points, w: np.ndarray, *, conj_sign: float = SPINOR_CONJ) -> np.ndarray:
+    """Evaluate Psi at points (3, ...) or three broadcast axes; returns (2, ...) complex, lam = 1."""
     phi = spinor_along(w)
-    x, y, z = points
-    r2 = x * x + y * y + z * z
-    pref = _NORM_C * (1.0 + r2) ** -1.5
+    x, y, z = _components(points)
+    pref = _NORM_C * (1.0 + (x * x + y * y + z * z)) ** -1.5
     s = 1j * conj_sign
-    # (1 + s sigma.x) phi, written out per spinor component
-    up = (1.0 + s * z) * phi[0] + s * (x - 1j * y) * phi[1]
-    dn = s * (x + 1j * y) * phi[0] + (1.0 - s * z) * phi[1]
-    return np.stack([pref * up, pref * dn])
+    # (1 + s sigma.x) phi per spinor component; on broadcast axes each term
+    # spans at most two of them, so only the sums, written in place, are full
+    out = np.empty((2,) + np.shape(pref), dtype=complex)
+    np.add((1.0 + s * z) * phi[0], s * (x - 1j * y) * phi[1], out=out[0, ...])
+    np.add(s * (x + 1j * y) * phi[0], (1.0 - s * z) * phi[1], out=out[1, ...])
+    return np.multiply(pref, out, out=out)
 
 
-def a_values(points: np.ndarray, w: np.ndarray, *, cross_sign: float = CROSS_SIGN) -> np.ndarray:
-    """Evaluate the vector potential at points (3, ...); lam = 1."""
-    x = np.asarray(points, dtype=float)
-    r2 = np.sum(x * x, axis=0)
-    wv = np.asarray(w, dtype=float).reshape(3, *([1] * (x.ndim - 1)))
-    wdotx = np.sum(wv * x, axis=0)
-    cross = np.stack(
-        [
-            x[1] * wv[2] - x[2] * wv[1],
-            x[2] * wv[0] - x[0] * wv[2],
-            x[0] * wv[1] - x[1] * wv[0],
-        ]
-    )
+def a_values(points: Points, w: np.ndarray, *, cross_sign: float = CROSS_SIGN) -> np.ndarray:
+    """Evaluate the vector potential at points (3, ...) or three broadcast axes; lam = 1."""
+    x = _components(points)
+    wv = [float(c) for c in w]
+    r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
     pref = 3.0 * (1.0 + r2) ** -2
-    return pref[None] * ((1.0 - r2)[None] * wv + 2.0 * wdotx[None] * x + 2.0 * cross_sign * cross)
+    two_wdotx = 2.0 * (wv[0] * x[0] + wv[1] * x[1] + wv[2] * x[2])
+    # component by component in place, so that the work arrays stay scalar grids
+    out = np.empty((3,) + np.shape(r2))
+    for i, (j, l) in enumerate(((1, 2), (2, 0), (0, 1))):
+        a_i = np.subtract(1.0, r2, out=out[i, ...])
+        a_i *= wv[i]
+        a_i += two_wdotx * x[i]
+        a_i += 2.0 * cross_sign * (x[j] * wv[l] - x[l] * wv[j])
+        a_i *= pref
+    return out
 
 
-def b_values(points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate B = curl A at points (3, ...); lam = 1, frozen conventions."""
-    x = np.asarray(points, dtype=float)
-    r2 = np.sum(x * x, axis=0)
-    wv = np.asarray(w, dtype=float).reshape(3, *([1] * (x.ndim - 1)))
-    wdotx = np.sum(wv * x, axis=0)
-    wcx = np.stack(
-        [
-            wv[1] * x[2] - wv[2] * x[1],
-            wv[2] * x[0] - wv[0] * x[2],
-            wv[0] * x[1] - wv[1] * x[0],
-        ]
-    )
+def b_values(points: Points, w: np.ndarray) -> np.ndarray:
+    """Evaluate B = curl A at points (3, ...) or three broadcast axes; lam = 1, frozen conventions."""
+    x = _components(points)
+    wv = [float(c) for c in w]
+    r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    wdotx = wv[0] * x[0] + wv[1] * x[1] + wv[2] * x[2]
     pref = 12.0 * (1.0 + r2) ** -3
-    return pref[None] * ((r2 - 1.0)[None] * wv - 2.0 * wdotx[None] * x + 2.0 * wcx)
+    return np.stack([
+        pref * ((r2 - 1.0) * wv[i] - 2.0 * wdotx * x[i] + 2.0 * (wv[j] * x[l] - wv[l] * x[j]))
+        for i, (j, l) in enumerate(((1, 2), (2, 0), (0, 1)))
+    ])
 
 
 @dataclass(frozen=True)
@@ -182,14 +190,20 @@ class ZeroModeFamily:
         )
 
     # --- pointwise evaluators, honouring the dilation ---------------------
-    def psi(self, points: np.ndarray) -> np.ndarray:
-        return self.lam**1.5 * psi_values(self.lam * np.asarray(points, dtype=float), np.asarray(self.w))
+    def psi(self, points: Points) -> np.ndarray:
+        out = psi_values([self.lam * x for x in _components(points)], np.asarray(self.w))
+        out *= self.lam**1.5
+        return out
 
-    def vector_potential(self, points: np.ndarray) -> np.ndarray:
-        return self.lam * a_values(self.lam * np.asarray(points, dtype=float), np.asarray(self.w))
+    def vector_potential(self, points: Points) -> np.ndarray:
+        out = a_values([self.lam * x for x in _components(points)], np.asarray(self.w))
+        out *= self.lam
+        return out
 
-    def magnetic_field(self, points: np.ndarray) -> np.ndarray:
-        return self.lam**2 * b_values(self.lam * np.asarray(points, dtype=float), np.asarray(self.w))
+    def magnetic_field(self, points: Points) -> np.ndarray:
+        out = b_values([self.lam * x for x in _components(points)], np.asarray(self.w))
+        out *= self.lam**2
+        return out
 
 
 def unit_direction(w: np.ndarray | tuple[float, float, float]) -> tuple[float, float, float]:
@@ -323,8 +337,9 @@ def sample_on_cell(fam: ZeroModeFamily, cell: Cell) -> tuple[SpinorField, Magnet
     check is skipped and ``B`` is the spectral curl of the sampled ``A``.
     """
     disp = cell.displacements((0.5 * cell.L,) * 3)
-    psi = SpinorField(cell, fam.psi(disp))
+    # A first: its work arrays are gone before Psi, the larger one, is allocated
     a = VectorField(cell, fam.vector_potential(disp))
+    psi = SpinorField(cell, fam.psi(disp))
     return psi, MagneticPotential(a, check_gauge=False)
 
 

@@ -30,6 +30,27 @@ def _bandlimited_coeffs(cell: Cell, rng: np.ndarray, kfrac: float, shape=()) -> 
     return c * mask
 
 
+def dense(axes) -> np.ndarray:
+    """A grid table kept as three broadcast axes (``Cell.k``, ``Cell.coords``,
+    ``Cell.displacements``) spread to one dense (3, n, n, n) array."""
+    return np.array(np.broadcast_arrays(*axes))
+
+
+def meshgrid_k(cell: Cell) -> np.ndarray:
+    """Reference (3, n, n, n) derivative wave vectors, Nyquist entry zeroed, from ``np.meshgrid``."""
+    k1 = 2.0 * np.pi * np.fft.fftfreq(cell.n, d=cell.spacing)
+    k1[cell.n // 2] = 0.0
+    return np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
+
+
+def meshgrid_displacements(cell: Cell, center) -> np.ndarray:
+    """Reference (3, n, n, n) minimum-image displacements from ``np.meshgrid`` coordinates."""
+    x1 = cell.spacing * np.arange(cell.n)
+    x = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
+    c = np.asarray(center, dtype=float).reshape(3, 1, 1, 1)
+    return (x - c + 0.5 * cell.L) % cell.L - 0.5 * cell.L
+
+
 @pytest.fixture
 def transform_rows(monkeypatch) -> dict:
     """Patch the four 3-D transforms of ``Cell`` (full and half spectrum) to add the rows of

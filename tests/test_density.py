@@ -3,7 +3,7 @@ inequalities."""
 
 import numpy as np
 import pytest
-from conftest import bandlimited_spinor, bandlimited_vector
+from conftest import bandlimited_spinor, bandlimited_vector, dense
 from numpy.testing import assert_allclose
 
 from magrhf.density import (
@@ -85,7 +85,7 @@ def test_single_orbital_density_integrates_to_one():
 
 
 def test_plane_wave_density_and_current():
-    x = CELL8.coords
+    x = dense(CELL8.coords)
     kvec = np.array([1.0, 0.0, 2.0]) * (2 * np.pi / CELL8.L)
     phase = np.exp(1j * (kvec[0] * x[0] + kvec[2] * x[2])) / np.sqrt(CELL8.volume)
     psi = SpinorField(CELL8, np.stack([phase, np.zeros_like(phase)]))
@@ -164,7 +164,7 @@ def test_gauge_shift_preserves_physical_current():
     gamma = DensityMatrix(orbs, np.array([1.0]))
     raw = bandlimited_vector(cell, rng, 0.12)
     A = MagneticPotential(helmholtz_project(VectorField(cell, 0.3 * raw.values)))
-    x = cell.coords
+    x = dense(cell.coords)
     mu = 0.35 * np.sin(2 * np.pi * x[0] / cell.L) + 0.2 * np.cos(2 * np.pi * x[2] / cell.L)
     grad_mu = gradient(ScalarField(cell, mu))
     A2 = MagneticPotential(VectorField(cell, A.A.values + grad_mu.values), check_gauge=False)
@@ -196,7 +196,7 @@ def _assert_pass_matches_per_orbital_applies(gamma, A):
     for n_k, phi in zip(gamma.occupations, gamma.orbitals):
         kinetic += n_k * inner(phi, apply_pauli_kinetic(phi, A)).real
         trace += n_k * inner(phi, apply_magnetic_laplacian(phi, A)).real
-        grad = cell.from_spectral(1j * cell.k[:, None] * phi.spectral()[None])
+        grad = cell.from_spectral(1j * dense(cell.k)[:, None] * phi.spectral()[None])
         j += 2.0 * n_k * np.sum(np.imag(np.conjugate(phi.values) * grad), axis=1)
     rho, j_pass, kinetic_pass, trace_pass = kinetic_terms(gamma, A)
     assert np.array_equal(rho.values, density(gamma).values)

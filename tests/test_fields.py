@@ -7,6 +7,9 @@ from conftest import (
     bandlimited_scalar,
     bandlimited_spinor,
     bandlimited_vector,
+    dense,
+    meshgrid_displacements,
+    meshgrid_k,
     radial_quadrature_gaussian_potential_at_center,
     wigner_constant,
 )
@@ -26,6 +29,7 @@ from magrhf.fields import (
     poisson_potential,
     prolong,
     restrict,
+    transverse_spectral,
 )
 
 CELL = Cell(10.0, 24)
@@ -67,6 +71,47 @@ def test_spectral_roundtrip_and_parseval():
     assert abs(spectral_norm2 - psi.norm() ** 2) < 1e-12 * spectral_norm2
 
 
+def test_separable_tables_match_the_dense_meshgrid_tables():
+    # the three axes broadcast to the (3, n, n, n) tables built with
+    # np.meshgrid, and the full moduli built from them agree bit for bit
+    for cell in (CELL, Cell(7.0, 16)):
+        n, k = cell.n, meshgrid_k(cell)
+        assert [a.shape for a in cell.k] == [(n, 1, 1), (1, n, 1), (1, 1, n)]
+        assert [a.shape for a in cell.coords] == [(n, 1, 1), (1, n, 1), (1, 1, n)]
+        assert not any(a.flags.writeable for a in (*cell.k, *cell.coords))
+        assert np.array_equal(dense(cell.k), k)
+        assert np.array_equal(cell.k2, np.sum(k**2, axis=0))
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=cell.spacing)
+        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+        assert np.array_equal(cell.k2_full, kx**2 + ky**2 + kz**2)
+        x1 = cell.spacing * np.arange(n)
+        assert np.array_equal(dense(cell.coords), np.stack(np.meshgrid(x1, x1, x1, indexing="ij")))
+        for center in ((0.0, 0.0, 0.0), (1.3, 6.9, 0.2), (0.5 * cell.L,) * 3):
+            d = cell.displacements(center)
+            assert [a.shape for a in d] == [(n, 1, 1), (1, n, 1), (1, 1, n)]
+            assert np.array_equal(dense(d), meshgrid_displacements(cell, center))
+
+
+def test_spectral_operators_match_the_dense_tables_bit_for_bit():
+    # the broadcast wave vectors against the (3, n, n, n) table, with the
+    # same operation order per element
+    rng = np.random.default_rng(11)
+    for cell in (CELL, Cell(7.0, 16)):
+        k = meshgrid_k(cell)
+        f = ScalarField(cell, rng.standard_normal((cell.n,) * 3))
+        v = VectorField(cell, rng.standard_normal((3,) + (cell.n,) * 3))
+        c_f, c_v = f.spectral(), v.spectral()
+        assert np.array_equal(gradient(f).values, cell.from_spectral(1j * k * c_f[None]).real)
+        assert np.array_equal(divergence(v).values, cell.from_spectral(np.sum(1j * k * c_v, axis=0)).real)
+        want = np.empty_like(c_v)
+        want[0] = 1j * (k[1] * c_v[2] - k[2] * c_v[1])
+        want[1] = 1j * (k[2] * c_v[0] - k[0] * c_v[2])
+        want[2] = 1j * (k[0] * c_v[1] - k[1] * c_v[0])
+        assert np.array_equal(curl(v).values, cell.from_spectral(want).real)
+        want = c_v - k * (np.sum(k * c_v, axis=0) * cell.inv_k2_deriv)[None]
+        assert np.array_equal(transverse_spectral(cell, c_v), want)
+
+
 def test_cell_mismatch_raises():
     other = Cell(10.0, 16)
     f = ScalarField(CELL, np.zeros((24,) * 3))
@@ -76,7 +121,7 @@ def test_cell_mismatch_raises():
 
 
 def test_curl_gradient_is_zero():
-    x = CELL.coords
+    x = dense(CELL.coords)
     f = ScalarField(CELL, np.cos(2 * np.pi * x[0] / CELL.L))
     cg = curl(gradient(f))
     assert np.abs(cg.values).max() == 0.0
@@ -91,7 +136,7 @@ def test_divergence_of_curl_vanishes():
 
 def test_curl_single_mode_hand_value():
     # v = (sin(2 pi y / L), 0, 0):  curl v = (0, 0, -(2 pi / L) cos(2 pi y / L))
-    x = CELL.coords
+    x = dense(CELL.coords)
     k = 2 * np.pi / CELL.L
     vals = np.zeros((3,) + (24,) * 3)
     vals[0] = np.sin(k * x[1])
@@ -102,7 +147,7 @@ def test_curl_single_mode_hand_value():
 
 
 def test_helmholtz_kills_gradients_and_keeps_solenoidal():
-    x = CELL.coords
+    x = dense(CELL.coords)
     g = gradient(ScalarField(CELL, np.cos(2 * np.pi * x[0] / CELL.L)))
     assert np.abs(helmholtz_project(g).values).max() < 1e-13
     vals = np.zeros((3,) + (24,) * 3)
@@ -124,7 +169,7 @@ def test_helmholtz_projection_properties():
     assert abs(inner(longitudinal, p)) < 1e-12 * v.norm() ** 2
     # per-mode oracle: v_k - k (k . v_k)/|k|^2 on the derivative vectors
     c = v.spectral()
-    k = CELL.k
+    k = dense(CELL.k)
     k2 = np.sum(k * k, axis=0)
     invk2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
     oracle = c - k * (np.sum(k * c, axis=0) * invk2)[None]
@@ -143,7 +188,7 @@ def test_helmholtz_mean_handling():
 
 def test_poisson_single_mode_kernel():
     # rho = cos(k.x) with |k| = 2 pi / L  ->  phi = (4 pi / |k|^2) cos(k.x)
-    x = CELL.coords
+    x = dense(CELL.coords)
     k = 2 * np.pi / CELL.L
     rho = ScalarField(CELL, np.cos(k * x[0]))
     phi = poisson_potential(rho)
@@ -180,7 +225,7 @@ def test_poisson_gaussian_against_radial_quadrature():
     # (independent Ewald oracle) is added to the free-space quadrature value
     L, n, s = 40.0, 96, 2.0
     cell = Cell(L, n)
-    d = cell.displacements((L / 2,) * 3)
+    d = dense(cell.displacements((L / 2,) * 3))
     r2 = np.sum(d * d, axis=0)
     rho_vals = np.exp(-0.5 * r2 / s**2) / (2 * np.pi * s**2) ** 1.5
     rho = ScalarField(cell, rho_vals)

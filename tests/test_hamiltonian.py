@@ -7,6 +7,8 @@ from conftest import (
     bandlimited_scalar,
     bandlimited_spinor,
     bandlimited_vector,
+    dense,
+    meshgrid_k,
     radial_quadrature_gaussian_potential_at_center,
     wigner_constant,
 )
@@ -34,7 +36,10 @@ from magrhf.hamiltonian import (
     MagneticPotential,
     Nucleus,
     SystemSpec,
+    _half_square,
     _kinetic,
+    _sigma_dot,
+    _sigma_entries,
     apply_magnetic_laplacian,
     apply_pauli_kinetic,
     apply_sigma_kinetic_root,
@@ -67,7 +72,7 @@ def test_pauli_matrix_algebra():
 
 # ---------------------------------------------------------------- kinetic term
 def test_free_plane_wave():
-    x = CELL.coords
+    x = dense(CELL.coords)
     kvec = np.array([2, -1, 3]) * (2 * np.pi / CELL.L)
     phase = np.exp(1j * (kvec[0] * x[0] + kvec[1] * x[1] + kvec[2] * x[2]))
     psi = SpinorField(CELL, np.stack([phase, np.zeros_like(phase)]))
@@ -299,7 +304,7 @@ def test_gauge_covariance_fixed_field():
     cell = Cell(9.0, 32)
     A = _random_potential(cell, rng, 0.15)
     psi = bandlimited_spinor(cell, rng, 0.12)
-    x = cell.coords
+    x = dense(cell.coords)
     mu = 0.4 * np.sin(2 * np.pi * x[0] / cell.L) + 0.3 * np.cos(2 * np.pi * x[1] / cell.L)
     grad_mu = gradient(ScalarField(cell, mu))
     A_shift = MagneticPotential(VectorField(cell, A.A.values + grad_mu.values), check_gauge=False)
@@ -370,13 +375,44 @@ def test_periodic_coefficients_bare_kernel():
     assert abs(v.mean()) < 1e-13
 
 
+def test_external_potential_matches_the_dense_tables_bit_for_bit():
+    k = meshgrid_k(CELL)
+    nuclei = (Nucleus(1.0, (2.0, 3.5, 1.25)), Nucleus(2.0, (7.1, 0.4, 8.9)))
+    spec = SystemSpec(CELL, nuclei, N=3.0, alpha=0.1)
+    for s_nuc in (2.0 * CELL.spacing, 0.0):
+        coeffs = np.zeros((CELL.n,) * 3, dtype=complex)
+        for nuc in nuclei:
+            coeffs += nuc.z * np.exp(-1j * (k[0] * nuc.R[0] + k[1] * nuc.R[1] + k[2] * nuc.R[2]))
+        coeffs /= CELL.volume
+        if s_nuc > 0.0:
+            coeffs = coeffs * np.exp(-0.5 * CELL.k2 * s_nuc**2)
+        want = CELL.from_spectral(-4.0 * np.pi * coeffs * CELL.inv_k2).real
+        assert np.array_equal(external_potential(spec, s_nuc).values, want)
+
+
+def test_sigma_k_entries_match_the_dense_tables_bit_for_bit():
+    # the sigma . k entries built from the broadcast axes against those of
+    # the (3, n, n, n) table, in the root and in the A != 0 Hamiltonian
+    cell, A, X = _small_magnetic_problem()
+    k, a = meshgrid_k(cell), A.A.values
+    v = bandlimited_scalar(cell, np.random.default_rng(5)).values
+    k_half, a_half = _sigma_entries(np.sqrt(0.5) * k), _sigma_entries(np.sqrt(0.5) * a)
+    assert np.array_equal(make_hamiltonian(cell, ScalarField(cell, v), A)(X), _half_square(cell, X, k_half, a_half, v))
+    psi = SpinorField(cell, X[0])
+    c = psi.spectral()
+    s, buf = np.empty_like(c), np.empty_like(c[0])
+    want = cell.from_spectral(_sigma_dot(_sigma_entries(k), c, s, buf))
+    want += _sigma_dot(_sigma_entries(a), psi.values, s, buf)
+    assert np.array_equal(apply_sigma_kinetic_root(psi, A).values, want)
+
+
 def test_periodic_potential_singularity_is_coulomb():
     # V_per(x) + z/|x| stays bounded as x -> 0 (shrinking radii + extrapolation)
     L, n, z = 12.0, 96, 2.0
     cell = Cell(L, n)
     spec = SystemSpec(cell, (Nucleus(z, (L / 2,) * 3),), N=z, alpha=0.1, mode="periodic")
     v = external_potential(spec, s_nuc=0.0)
-    d = cell.displacements((L / 2,) * 3)
+    d = dense(cell.displacements((L / 2,) * 3))
     r = np.sqrt(np.sum(d * d, axis=0))
     idx = n // 2
     samples = []
@@ -436,7 +472,7 @@ def test_hartree_zero_density():
 
 def test_hartree_single_mode_parseval_oracle():
     # rho = (1 + cos(k.x))/|cell|: energy = (1/2) 4 pi |rho_k|^2 |cell| / |k|^2
-    x = CELL.coords
+    x = dense(CELL.coords)
     kv = 2 * np.pi / CELL.L
     rho = ScalarField(CELL, (1.0 + np.cos(kv * x[2])) / CELL.volume)
     _, e = hartree(rho)
@@ -448,7 +484,7 @@ def test_hartree_single_mode_parseval_oracle():
 def test_hartree_gaussian_self_energy():
     L, n, s = 40.0, 96, 2.0
     cell = Cell(L, n)
-    d = cell.displacements((L / 2,) * 3)
+    d = dense(cell.displacements((L / 2,) * 3))
     rho = ScalarField(cell, np.exp(-0.5 * np.sum(d * d, axis=0) / s**2) / (2 * np.pi * s**2) ** 1.5)
     _, e = hartree(rho)
     # free-space self energy 1/(2 sqrt(pi) s) cross-checked by quadrature of

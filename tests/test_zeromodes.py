@@ -9,8 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from conftest import meshgrid_displacements, meshgrid_k
 from magrhf.fields import Cell, SpinorField, VectorField
-from magrhf.hamiltonian import PAULI, MagneticPotential, apply_sigma_kinetic_root
+from magrhf.hamiltonian import PAULI, MagneticPotential, _sigma_dot, _sigma_entries, apply_sigma_kinetic_root
 from magrhf.zeromodes import (
     CROSS_SIGN,
     SPINOR_CONJ,
@@ -26,6 +27,7 @@ from magrhf.zeromodes import (
     loss_yau,
     psi_values,
     sample_on_cell,
+    spinor_along,
 )
 
 
@@ -140,9 +142,84 @@ def test_grid_residual_matches_the_per_axis_root(fam):
         assert abs(grid_residual(fam, cell) - want) <= 1e-14 * want
 
 
+def _dense_psi(x, w):
+    """Psi on dense (3, ...) points, in the operation order of the formula."""
+    phi = spinor_along(w)
+    r2 = np.sum(x * x, axis=0)
+    pref = (1.0 / math.pi) * (1.0 + r2) ** -1.5
+    s = 1j * SPINOR_CONJ
+    up = (1.0 + s * x[2]) * phi[0] + s * (x[0] - 1j * x[1]) * phi[1]
+    dn = s * (x[0] + 1j * x[1]) * phi[0] + (1.0 - s * x[2]) * phi[1]
+    return np.stack([pref * up, pref * dn])
+
+
+def _dense_a_b(x, w):
+    """A and B on dense (3, ...) points, in the operation order of the formulas."""
+    r2 = np.sum(x * x, axis=0)
+    wv = np.asarray(w).reshape(3, *([1] * (x.ndim - 1)))
+    wdotx = np.sum(wv * x, axis=0)
+    cross = np.stack([x[1] * wv[2] - x[2] * wv[1], x[2] * wv[0] - x[0] * wv[2], x[0] * wv[1] - x[1] * wv[0]])
+    wcx = np.stack([wv[1] * x[2] - wv[2] * x[1], wv[2] * x[0] - wv[0] * x[2], wv[0] * x[1] - wv[1] * x[0]])
+    a = 3.0 * (1.0 + r2) ** -2 * ((1.0 - r2) * wv + 2.0 * wdotx * x + 2.0 * CROSS_SIGN * cross)
+    b = 12.0 * (1.0 + r2) ** -3 * ((r2 - 1.0) * wv - 2.0 * wdotx * x + 2.0 * wcx)
+    return a, b
+
+
+def test_evaluators_on_broadcast_axes_match_dense_points_bit_for_bit():
+    # the cell's displacement axes against the (3, n, n, n) meshgrid table,
+    # also through a dilated family, whose scale factors act in place
+    w = np.array([0.36, -0.48, 0.8])
+    cell = Cell(40.0, 32)
+    center = (0.5 * cell.L,) * 3
+    axes, x = cell.displacements(center), meshgrid_displacements(cell, center)
+    a, b = _dense_a_b(x, w)
+    assert np.array_equal(psi_values(axes, w), _dense_psi(x, w))
+    assert np.array_equal(a_values(axes, w), a)
+    assert np.array_equal(b_values(axes, w), b)
+    lam = 1.7
+    fam = dilate(loss_yau(tuple(w)), lam)
+    a, b = _dense_a_b(lam * x, w)
+    assert np.array_equal(fam.psi(axes), lam**1.5 * _dense_psi(lam * x, w))
+    assert np.array_equal(fam.vector_potential(axes), lam * a)
+    assert np.array_equal(fam.magnetic_field(axes), lam**2 * b)
+
+
+def test_grid_residual_matches_the_dense_tables_bit_for_bit():
+    # the pair sampled on the meshgrid displacements and the root taken
+    # with the sigma . k entries of the (3, n, n, n) wave vectors
+    w = np.array([0.36, -0.48, 0.8])
+    fam = loss_yau(tuple(w))
+    for n in (24, 48):
+        cell = Cell(40.0, n)
+        x = meshgrid_displacements(cell, (0.5 * cell.L,) * 3)
+        psi = SpinorField(cell, _dense_psi(x, w))
+        c = psi.spectral()
+        s, buf = np.empty_like(c), np.empty_like(c[0])
+        root = cell.from_spectral(_sigma_dot(_sigma_entries(meshgrid_k(cell)), c, s, buf))
+        root += _sigma_dot(_sigma_entries(_dense_a_b(x, w)[0]), psi.values, s, buf)
+        assert grid_residual(fam, cell) == SpinorField(cell, root).norm() / psi.norm()
+
+
+def test_sampling_holds_no_dense_table(fam):
+    # measured at n = 48: a peak of 66.8 n^3 bytes, the pair itself
+    # (Psi 32 n^3, A 24 n^3), the one real work array of psi_values
+    # (8 n^3) and ~0.3 MB of ufunc cast buffers; any dense (3, n, n, n)
+    # coordinate or displacement table would add 24 n^3 (2.7 MB)
+    cell = Cell(40.0, 48)
+    tracemalloc.start()
+    try:
+        psi, pot = sample_on_cell(fam, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= psi.values.nbytes + pot.A.values.nbytes + 8 * cell.n**3 + 2**19
+
+
 def test_sigma_root_memory_on_the_sampled_pair(fam):
-    # one call holds the spectrum, one work block and half a block of
-    # buffers, the sigma . k entries and its output: 3.5 spinors at most
+    # one call holds its output, one work block and half a block of buffers,
+    # plus the spectrum up to the inverse transform and the sigma . A entries
+    # after it: 3.5 spinors, measured 3.54 at n = 48; the sigma . k entries
+    # are broadcast axes and take no room
     cell = Cell(40.0, 48)
     psi, pot = sample_on_cell(fam, cell)
     cell.k  # cached once per cell, outside the measurement
@@ -152,7 +229,7 @@ def test_sigma_root_memory_on_the_sampled_pair(fam):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.6 * psi.values.nbytes
+    assert peak <= 3.55 * psi.values.nbytes
 
 
 def test_sampled_pair_matches_analytic_profile(fam):
