@@ -4,8 +4,8 @@ A state is stored in spectral form: orthonormal spinor orbitals with
 occupation numbers in [0, 1].  Dense kernels gamma(x, y) are never
 materialised here; test oracles rebuild them on tiny grids when needed.
 
-:func:`kinetic_terms` takes rho, j and both kinetic traces from one pass
-over the occupied block; the other observables of the kinetic term read it.
+:func:`kinetic_terms` takes rho, j, the kinetic energy, its A-gradient and the
+spin-free trace from one pass over the occupied block; the rest reads it.
 """
 
 from __future__ import annotations
@@ -111,16 +111,19 @@ def density(gamma: DensityMatrix) -> ScalarField:
 
 def kinetic_terms(
     gamma: DensityMatrix, A: MagneticPotential | None
-) -> tuple[ScalarField, VectorField, float, float]:
-    """``(rho, j, kinetic, trace)`` of ``gamma`` in ``A`` from one pass over its occupied block.
+) -> tuple[ScalarField, VectorField, VectorField, float, float]:
+    """``(rho, j, J, kinetic, trace)`` of ``gamma`` in ``A`` from one pass over its occupied block.
 
-    ``kinetic`` is the Pauli kinetic energy and ``trace`` is
-    ``Tr((p + A)^2 gamma)``.  With ``c = F(psi)``, the Nyquist-zeroed
-    ``cell.k`` and the first derivatives ``u_i = F^-1(k_i c) + A_i psi``::
+    ``kinetic`` is the Pauli kinetic energy, ``J`` its A-gradient (the field
+    equation's source; ``j/2 + A rho + (1/2) curl m`` in the continuum) and
+    ``trace`` is ``Tr((p + A)^2 gamma)``.  With ``c = F(psi)``, the
+    Nyquist-zeroed ``cell.k``, ``u_i = F^-1(k_i c) + A_i psi`` and
+    ``D psi = sum_i sigma_i u_i = sigma.(p + A) psi``::
 
         j       = 2 sum_k n_k Re(conj(psi_k) F^-1(k c_k))
+        J_i     = sum_k n_k Re(conj(psi_k) . sigma_i D psi_k)
         trace   = sum_k n_k (sum_i ||u_i||^2 + N_k)
-        kinetic = (1/2) sum_k n_k (||sum_i sigma_i u_i||^2 + N_k)
+        kinetic = (1/2) sum_k n_k (||D psi_k||^2 + N_k)
 
     where ``N_k = L^3 sum (k2_full - k2) |c_k|^2`` is the Nyquist share the
     derivative vectors drop.  That is one forward and three inverse
@@ -145,10 +148,14 @@ def kinetic_terms(
         if a is not None:
             u += np.multiply(a[axis], psi, out=tmp)
         squares += np.vdot(u, u).real
-        root += _sigma_dot(_sigma_entries(sigma_i), u, tmp, buf)  # sum_i sigma_i u_i = sigma.(p+A) psi
+        root += _sigma_dot(_sigma_entries(sigma_i), u, tmp, buf)  # D psi
         del u  # before the next axis allocates its own
-    kinetic = 0.5 * (np.vdot(root, root).real * cell.dV + nyquist)
-    terms = (density(gamma), VectorField(cell, j), float(kinetic), float(squares * cell.dV + nyquist))
+    kinetic = float(0.5 * (np.vdot(root, root).real * cell.dV + nyquist))
+    psi_bar, J = np.conjugate(psi, out=c), np.empty_like(j)  # c is spent: it holds conj(psi)
+    for axis, sigma_i in enumerate(np.eye(3)):
+        sigma_root = _sigma_dot(_sigma_entries(sigma_i), root, tmp, buf)
+        J[axis] = np.sum(np.multiply(psi_bar, sigma_root, out=tmp).real, axis=(0, 1))
+    terms = (density(gamma), VectorField(cell, j), VectorField(cell, J), kinetic, float(squares * cell.dV + nyquist))
     object.__setattr__(gamma, "_pass", (A, terms))
     return terms
 
@@ -231,7 +238,7 @@ def total_energy(
     cell = gamma.cell
     if A.cell != cell or spec.cell != cell:
         raise CellMismatchError("density matrix, potential and system use different cells")
-    rho, _, kinetic, _ = kinetic_terms(gamma, A)
+    rho, _, _, kinetic, _ = kinetic_terms(gamma, A)
     if V is None:
         V = external_potential(spec)
     ext = inner(V, rho)
@@ -243,7 +250,7 @@ def total_energy(
 
 def kinetic_laplacian_trace(gamma: DensityMatrix, A: MagneticPotential | None) -> float:
     """Tr((p + A)^2 gamma), the spin-free magnetic kinetic energy, read off :func:`kinetic_terms`."""
-    return kinetic_terms(gamma, A)[3]
+    return kinetic_terms(gamma, A)[4]
 
 
 def kinetic_inequality_report(
@@ -262,7 +269,7 @@ def kinetic_inequality_report(
     the density vanishes.
     """
     cell = gamma.cell
-    rho, _, _, T = kinetic_terms(gamma, A)
+    rho, _, _, _, T = kinetic_terms(gamma, A)
 
     lt_lhs = c_lt * float(np.sum(np.maximum(rho.values, 0.0) ** (5.0 / 3.0)) * cell.dV)
 

@@ -5,16 +5,19 @@ The fixed point solved here is
 
     gamma = aufbau filling of the lowest spinor states of
             H = (1/2)[sigma.(p+A)]^2 + V + rho * coulomb,
-    (1/2)(j + curl m) + A rho + (-lap A) / (4 pi alpha^2) = 0,
+    J + (-lap A) / (4 pi alpha^2) = 0,
 
 with the Fermi level chosen so the occupations sum to the electron
-count.  The loop alternates a preconditioned block eigensolve, aufbau
-filling, one spectral solve of the linear field equation (with the
-``A rho`` term lagged), Anderson mixing of the density and linear
-mixing of the potential.  At A = 0 the operator is ``h (x) 1``: the
-eigensolve finds the levels of the scalar ``h`` once, on half the block
-and in real arithmetic (``h`` is real symmetric), and pairs them into
-spinors along one spin axis per run.
+count, and ``J`` the A-gradient of the grid kinetic energy
+(:func:`~magrhf.density.kinetic_terms`; ``(1/2)(j + curl m) + A rho`` in
+the continuum): the field equation is the stationarity in A of the
+energy the loop minimises.  The loop alternates a preconditioned block
+eigensolve, aufbau filling, one spectral solve of the linear field
+equation (with the ``A rho`` part of ``J`` lagged), Anderson mixing of
+the density and linear mixing of the potential.  At A = 0 the operator
+is ``h (x) 1``: the eigensolve finds the levels of the scalar ``h``
+once, on half the block and in real arithmetic (``h`` is real
+symmetric), and pairs them into spinors along one spin axis per run.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -41,7 +44,7 @@ from .density import (
     density,
     kinetic_inequality_report,
     kinetic_terms,
-    magnetisation,
+    magnetisation,  # uncalled: perfbench/spans.py patches it here (ROADMAP direction 3)
     physical_current,
     total_energy,
 )
@@ -50,7 +53,6 @@ from .fields import (
     ScalarField,
     SpinorField,
     VectorField,
-    curl,
     divergence,
     prolong,
     restrict,
@@ -482,27 +484,22 @@ def fermi_fill(
     return occ, fermi
 
 
-def update_vector_potential(
-    j: VectorField,
-    m: VectorField,
-    rho: ScalarField,
-    A_in: MagneticPotential,
-    spec: SystemSpec,
-) -> MagneticPotential:
+def update_vector_potential(J: VectorField, spec: SystemSpec) -> MagneticPotential:
     """One spectral solve of the linear field equation.
 
-    Solves ``(1/2)(j + curl m) + A rho + (-lap A)/(4 pi alpha^2) = 0``
-    transversally: ``A_k = -4 pi alpha^2 P_perp[source]_k / |k|^2`` for
-    ``k != 0``, with a vanishing mean (this realises the constant
-    multiplier of the periodic stationarity system, and the decay of the
-    potential in the box picture).  The ``A rho`` term uses the incoming
-    potential: the solve is lagged, and the outer iteration carries the lag.
+    Solves ``J + (-lap A)/(4 pi alpha^2) = 0`` transversally:
+    ``A_k = -4 pi alpha^2 P_perp[J]_k / |k|^2`` for ``k != 0``, with a
+    vanishing mean (this realises the constant multiplier of the periodic
+    stationarity system, and the decay of the potential in the box
+    picture).  ``J`` is the A-gradient of the kinetic energy from
+    :func:`~magrhf.density.kinetic_terms`, taken in the incoming potential,
+    whose ``A rho`` term it carries: the solve is lagged, and the outer
+    iteration carries the lag.
     """
-    cell = j.cell
-    if m.cell != cell or rho.cell != cell or A_in.cell != cell or spec.cell != cell:
+    cell = J.cell
+    if spec.cell != cell:
         raise ValueError("all fields must live on one cell")
-    source = 0.5 * (j.values + curl(m).values) + A_in.A.values * rho.values[None]
-    shat = transverse_spectral(cell, cell.to_spectral(source))
+    shat = transverse_spectral(cell, cell.to_spectral(J.values))
     ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2[None]
     ahat[:, 0, 0, 0] = 0.0
     return MagneticPotential(VectorField(cell, cell.from_spectral(ahat).real), check_gauge=False)
@@ -535,10 +532,10 @@ def _field_equation_residual(
     """Relative transverse residual of the stationarity equation for A.
 
     ``A_out`` is the field solve from ``A`` (:func:`update_vector_potential`):
-    it sets ``-lap A_out / (4 pi alpha^2) = P_perp s(A)`` on every mode
-    ``k != 0``, so the residual ``P_perp s(A) - lap A / (4 pi alpha^2)`` is
+    it sets ``-lap A_out / (4 pi alpha^2) = P_perp J(A)`` on every mode
+    ``k != 0``, so the residual ``P_perp J(A) - lap A / (4 pi alpha^2)`` is
     ``lap(A_out - A) / (4 pi alpha^2)``, read off the series coefficients
-    (Parseval) relative to ``||P_perp s(A)|| + ||lap A|| / (4 pi alpha^2)``.
+    (Parseval) relative to ``||P_perp J(A)|| + ||lap A|| / (4 pi alpha^2)``.
     Source terms below :func:`_source_floor` count as an exactly
     satisfied equation rather than a noise-over-noise ratio.  A zero
     potential has no Laplacian term, so its residual needs no transform
@@ -813,17 +810,16 @@ def scf_solve(
         gamma = DensityMatrix(
             tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
         )
-        rho_out, j, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
+        rho_out, j, J, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
         # the orbital residual at the output mean field, whose H differs from
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
         h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals[:filled]
         res_orb = _orbital_residual(cell, orbitals[:filled], h_orbitals, occ[:filled])
         del h_orbitals  # free the H X rows before the field solve
-        m = magnetisation(gamma)
         if config.pin_A:
             A_out, res_field = MagneticPotential.zero(cell), 0.0
         else:
-            A_out = update_vector_potential(j, m, rho_out, A, spec)
+            A_out = update_vector_potential(J, spec)
             res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
         return _Iterate(

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import C_LT_CLASSICAL, C_SOBOLEV_SHARP
-from .density import DensityMatrix, density, kinetic_laplacian_trace, magnetisation
+from .density import DensityMatrix, kinetic_terms
 from .fields import ScalarField
 from .hamiltonian import MagneticPotential, green_function_GR
 from .hamiltonian import hartree as _hartree
@@ -229,7 +229,10 @@ def penalised_f(
     and the state is first dilated, exactly in the bookkeeping, so that
     the field energy is one:
 
-        value = D/2 mu - z I mu + lam K mu^2,   mu = 1 / int |B|^2.
+        value = D/2 mu - z I mu + lam K mu^2,   mu = 1 / int |B|^2,
+
+    with ``K = Tr([sigma.(p+A)]^2 gamma)``, twice the grid kinetic energy of
+    :func:`~magrhf.density.kinetic_terms`.
     """
     if lam < 0:
         raise ValueError(f"penalty weight must be nonnegative, got {lam}")
@@ -237,7 +240,7 @@ def penalised_f(
         return f_z(state, z) + lam * state.kinetic_trace()
     gamma, A = state
     cell = gamma.cell
-    rho = density(gamma)
+    rho, _, _, kinetic, _ = kinetic_terms(gamma, A)
     # the kernel translated by L/2: exp(i k . L/2) = (-1)^m is its own
     # inverse, so the sign of the translation does not matter
     c = 0.5 * cell.L
@@ -249,15 +252,8 @@ def penalised_f(
     b2 = A.field_energy_raw
     if b2 <= 0:
         raise ValueError("grid state carries no magnetic field; cannot normalise")
-    kin = kinetic_laplacian_trace(gamma, A) + _spin_field_coupling(gamma, A)
     mu = 1.0 / b2
-    return hartree_energy * mu - z * attraction * mu + lam * kin * mu**2
-
-
-def _spin_field_coupling(gamma: DensityMatrix, A: MagneticPotential) -> float:
-    """int B . m, the spin part of the Pauli kinetic trace."""
-    m = magnetisation(gamma)
-    return float(np.sum(A.B.values * m.values) * gamma.cell.dV)
+    return hartree_energy * mu - z * attraction * mu + lam * 2.0 * kinetic * mu**2
 
 
 @dataclass(frozen=True)

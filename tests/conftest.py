@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from magrhf.fields import Cell, ScalarField, SpinorField, VectorField
-from magrhf.hamiltonian import Nucleus, SystemSpec
+from magrhf.density import DensityMatrix
+from magrhf.fields import Cell, ScalarField, SpinorField, VectorField, helmholtz_project
+from magrhf.hamiltonian import MagneticPotential, Nucleus, SystemSpec
 from magrhf.scf import SCFConfig, scf_solve
 from magrhf.tfbound import RadialGrid, tf_minimize
 from magrhf.zeromodes import loss_yau
@@ -80,6 +81,17 @@ def bandlimited_vector(cell: Cell, rng, kfrac: float = 0.25) -> VectorField:
 def bandlimited_spinor(cell: Cell, rng, kfrac: float = 0.25) -> SpinorField:
     c = _bandlimited_coeffs(cell, rng, kfrac, shape=(2,))
     return SpinorField(cell, cell.from_spectral(c))
+
+
+def white_noise_state(cell: Cell, seed: int) -> tuple[DensityMatrix, MagneticPotential]:
+    """Three orthonormal white-noise spinors (Nyquist content included) with
+    fractional occupations, and a random transverse potential."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * cell.n**3
+    q, _ = np.linalg.qr(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
+    orbs = tuple(SpinorField(cell, q[:, i].reshape((2,) + (cell.n,) * 3) / np.sqrt(cell.dV)) for i in range(3))
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.4 * bandlimited_vector(cell, rng, 0.3).values)))
+    return DensityMatrix(orbs, np.array([1.0, 0.6, 0.25])), A
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@ inequalities."""
 
 import numpy as np
 import pytest
-from conftest import bandlimited_spinor, bandlimited_vector, dense
+from conftest import bandlimited_spinor, bandlimited_vector, dense, white_noise_state
 from numpy.testing import assert_allclose
 
 from magrhf.density import (
@@ -22,6 +22,7 @@ from magrhf.fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    curl,
     gradient,
     helmholtz_project,
     inner,
@@ -176,17 +177,6 @@ def test_gauge_shift_preserves_physical_current():
     assert np.abs(p2.values - p1.values).max() < 1e-9 * scale
 
 
-def _white_noise_state(cell, seed):
-    """Three orthonormal white-noise spinors (Nyquist content included) with
-    fractional occupations, and a random transverse potential."""
-    rng = np.random.default_rng(seed)
-    dim = 2 * cell.n**3
-    q, _ = np.linalg.qr(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
-    orbs = tuple(SpinorField(cell, q[:, i].reshape((2,) + (cell.n,) * 3) / np.sqrt(cell.dV)) for i in range(3))
-    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.4 * bandlimited_vector(cell, rng, 0.3).values)))
-    return DensityMatrix(orbs, np.array([1.0, 0.6, 0.25])), A
-
-
 def _assert_pass_matches_per_orbital_applies(gamma, A):
     # the pass against the code it replaced: the single-spinor kinetic
     # operators applied orbital by orbital, and the spectral gradient
@@ -198,7 +188,7 @@ def _assert_pass_matches_per_orbital_applies(gamma, A):
         trace += n_k * inner(phi, apply_magnetic_laplacian(phi, A)).real
         grad = cell.from_spectral(1j * dense(cell.k)[:, None] * phi.spectral()[None])
         j += 2.0 * n_k * np.sum(np.imag(np.conjugate(phi.values) * grad), axis=1)
-    rho, j_pass, kinetic_pass, trace_pass = kinetic_terms(gamma, A)
+    rho, j_pass, _, kinetic_pass, trace_pass = kinetic_terms(gamma, A)
     assert np.array_equal(rho.values, density(gamma).values)
     assert np.abs(j_pass.values - j).max() <= 1e-13 * np.abs(j).max()
     assert abs(kinetic_pass - kinetic) <= 1e-13 * kinetic
@@ -209,7 +199,7 @@ def _assert_pass_matches_per_orbital_applies(gamma, A):
 @pytest.mark.parametrize("magnetic", [False, True])
 def test_kinetic_terms_match_per_orbital_applies(n, L, magnetic):
     cell = Cell(L, n)
-    gamma, A = _white_noise_state(cell, seed=n)
+    gamma, A = white_noise_state(cell, seed=n)
     _assert_pass_matches_per_orbital_applies(gamma, A if magnetic else MagneticPotential.zero(cell))
 
 
@@ -220,6 +210,39 @@ def test_kinetic_terms_match_per_orbital_applies_on_a_polarised_scf_state():
     state = scf_solve(spec, SCFConfig(tol=1e-8, deg_threshold=0.0, max_iter=6, seed=0))
     assert not state.A.is_zero()
     _assert_pass_matches_per_orbital_applies(state.gamma, state.A)
+
+
+@pytest.mark.parametrize("n, L", [(8, 6.0), (24, 9.0)])
+def test_pass_J_is_the_A_gradient_of_the_kinetic_energy(n, L):
+    # the kinetic energy is quadratic in A, so a central difference is exact
+    # up to roundoff at any step; the directions are white noise, so they
+    # carry longitudinal parts and the Nyquist planes too
+    cell = Cell(L, n)
+    gamma, A = white_noise_state(cell, seed=n)
+    J = kinetic_terms(gamma, A)[2]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        d = rng.standard_normal((3,) + (n,) * 3)
+
+        def kinetic(h):
+            return kinetic_terms(gamma, MagneticPotential(VectorField(cell, A.A.values + h * d), check_gauge=False))[3]
+
+        want = np.sum(J.values * d) * cell.dV
+        assert abs((kinetic(0.1) - kinetic(-0.1)) / 0.2 - want) <= 1e-10 * abs(want)
+
+
+def test_pass_J_is_the_continuum_source_on_band_limited_states():
+    # sigma_i sigma_j = delta_ij + i eps_ijk sigma_k point by point, so J is
+    # j/2 + A rho + (1/2) curl m wherever the spectral derivative of the
+    # product m obeys the product rule: orbitals below a quarter of the
+    # Nyquist index, whose products do not alias
+    rng = np.random.default_rng(4)
+    cell = Cell(6.0, 16)
+    gamma = DensityMatrix(_orthonormal_orbitals(cell, rng, 2, kfrac=0.2), np.array([1.0, 0.4]))
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.4 * bandlimited_vector(cell, rng, 0.2).values)))
+    rho, j, J, _, _ = kinetic_terms(gamma, A)
+    source = 0.5 * (j.values + curl(magnetisation(gamma)).values) + A.A.values * rho.values[None]
+    assert np.abs(J.values - source).max() <= 1e-14 * np.abs(source).max()
 
 
 def test_total_energy_matches_dense_contraction():

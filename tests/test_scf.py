@@ -4,14 +4,16 @@ self-consistent loop."""
 import math
 import tracemalloc
 from dataclasses import replace
+from importlib import import_module
 
 import numpy as np
 import pytest
-from conftest import bandlimited_scalar, bandlimited_vector
+from conftest import bandlimited_scalar, bandlimited_vector, white_noise_state
 from numpy.testing import assert_allclose
 
 from magrhf import scf
-from magrhf.density import DensityMatrix, current, density, magnetisation
+from magrhf import hamiltonian as hamiltonian_module
+from magrhf.density import DensityMatrix, density, kinetic_terms, magnetisation
 from magrhf.fields import (
     Cell,
     ScalarField,
@@ -22,7 +24,7 @@ from magrhf.fields import (
     helmholtz_project,
     transverse_spectral,
 )
-from magrhf.hamiltonian import PAULI, MagneticPotential, Nucleus, SystemSpec
+from magrhf.hamiltonian import PAULI, MagneticPotential, Nucleus, SystemSpec, magnetic_energy
 from magrhf.scf import (
     EigensolveError,
     SCFConfig,
@@ -78,7 +80,7 @@ def test_eigensolve_matches_dense_oracle():
 
 
 def test_eigensolve_scalar_block_matches_dense_oracle():
-    # components=1 is the spin-free oracle's configuration
+    # a complex scalar block: components=1 without real=True
     cell = Cell(6.0, 6)
     rng = np.random.default_rng(8)
     v = rng.standard_normal((6,) * 3)
@@ -351,15 +353,12 @@ def test_fermi_fill_errors():
 def test_update_vector_potential_trivial_fixed_point():
     cell = Cell(7.0, 16)
     spec = SystemSpec(cell, (Nucleus(1.0, (3.5,) * 3),), N=1.0, alpha=0.1)
-    zeros = VectorField.zeros(cell)
-    out = update_vector_potential(
-        zeros, zeros, ScalarField.zeros(cell), MagneticPotential.zero(cell), spec
-    )
+    out = update_vector_potential(VectorField.zeros(cell), spec)
     assert np.abs(out.A.values).max() == 0.0
 
 
 def test_update_vector_potential_single_mode():
-    # source s = (cos(k.x), 0, 0) with k along y: A = -4 pi alpha^2 s / |k|^2
+    # source J = (cos(k.x), 0, 0) with k along y: A = -4 pi alpha^2 J / |k|^2
     cell = Cell(7.0, 16)
     alpha = 0.13
     spec = SystemSpec(cell, (Nucleus(1.0, (3.5,) * 3),), N=1.0, alpha=alpha)
@@ -367,13 +366,24 @@ def test_update_vector_potential_single_mode():
     kv = 2 * np.pi / cell.L
     svals = np.zeros((3,) + (16,) * 3)
     svals[0] = np.cos(kv * x[1])
-    j = VectorField(cell, 2.0 * svals)  # j/2 is the source
-    out = update_vector_potential(
-        j, VectorField.zeros(cell), ScalarField.zeros(cell), MagneticPotential.zero(cell), spec
-    )
+    out = update_vector_potential(VectorField(cell, svals), spec)
     expected = -4 * np.pi * alpha**2 / kv**2 * svals
     assert np.abs(out.A.values - expected).max() < 1e-12 * np.abs(expected).max()
     assert divergence(out.A).norm() < 1e-12
+
+
+def _source_parts(cell, rng, scale=1.0):
+    """The A-independent part ``(1/2)(j + curl m)`` of a continuum field source, from
+    random band-limited ``j`` and ``m``, and a nonnegative density ``rho``."""
+    j, m = (VectorField(cell, scale * bandlimited_vector(cell, rng, 0.3).values) for _ in range(2))
+    rho_raw = bandlimited_scalar(cell, rng, 0.3)
+    rho = ScalarField(cell, 0.2 * (rho_raw.values - rho_raw.values.min()))
+    return VectorField(cell, 0.5 * (j.values + curl(m).values)), rho
+
+
+def _lagged_source(J0, rho, A):
+    """``J0 + A rho``: the field source as a derivative pass in ``A`` gives it."""
+    return VectorField(J0.cell, J0.values + A.A.values * rho.values[None])
 
 
 def test_update_vector_potential_reaches_fixed_point():
@@ -382,29 +392,26 @@ def test_update_vector_potential_reaches_fixed_point():
     rng = np.random.default_rng(5)
     cell = Cell(7.0, 16)
     spec = SystemSpec(cell, (Nucleus(1.0, (3.5,) * 3),), N=1.0, alpha=0.05)
-    j = bandlimited_vector(cell, rng, 0.3)
-    m = bandlimited_vector(cell, rng, 0.3)
-    rho_raw = bandlimited_scalar(cell, rng, 0.3)
-    rho = ScalarField(cell, 0.2 * (rho_raw.values - rho_raw.values.min()))
+    J0, rho = _source_parts(cell, rng)
     A = MagneticPotential.zero(cell)
     for _ in range(100):
-        A = update_vector_potential(j, m, rho, A, spec)
-    A_out = update_vector_potential(j, m, rho, A, spec)
+        A = update_vector_potential(_lagged_source(J0, rho, A), spec)
+    J = _lagged_source(J0, rho, A)
+    A_out = update_vector_potential(J, spec)
     assert scf._field_equation_residual(A, A_out, rho, spec.alpha) < 1e-11
-    assert _source_form_residual(j, m, rho, A, spec.alpha) < 1e-11
+    assert _source_form_residual(J, rho, A, spec.alpha) < 1e-11
 
 
-def _source_form_residual(j, m, rho, A, alpha):
+def _source_form_residual(J, rho, A, alpha):
     """The field-equation residual built from its transverse source, without a solve.
 
-    ``||P_perp s(A) - lap A / (4 pi alpha^2)||`` over
-    ``||P_perp s(A)|| + ||lap A|| / (4 pi alpha^2)`` with
-    ``s(A) = (1/2)(j + curl m) + A rho``, both in real space, and 0 where
-    that scale is below ``scf._source_floor``.
+    ``||P_perp J - lap A / (4 pi alpha^2)||`` over
+    ``||P_perp J|| + ||lap A|| / (4 pi alpha^2)`` with the source ``J``
+    taken in ``A``, both in real space, and 0 where that scale is below
+    ``scf._source_floor``.
     """
-    cell = j.cell
-    source = 0.5 * (j.values + curl(m).values) + A.A.values * rho.values[None]
-    shat = transverse_spectral(cell, cell.to_spectral(source))
+    cell = J.cell
+    shat = transverse_spectral(cell, cell.to_spectral(J.values))
     shat[:, 0, 0, 0] = 0.0
     lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
 
@@ -419,24 +426,20 @@ def _source_form_residual(j, m, rho, A, alpha):
 
 @pytest.mark.parametrize("case", ["off_fixed_point", "zero_A", "below_floor"])
 def test_field_residual_read_off_the_solve_matches_source_form(case):
-    # the solve sets -lap A_out / (4 pi alpha^2) = P_perp s(A), so the
-    # residual is lap(A_out - A) / (4 pi alpha^2) without rebuilding s(A)
+    # the solve sets -lap A_out / (4 pi alpha^2) = P_perp J(A), so the
+    # residual is lap(A_out - A) / (4 pi alpha^2) without rebuilding J(A)
     rng = np.random.default_rng(11)
     cell = Cell(7.0, 16)
     spec = SystemSpec(cell, (Nucleus(1.0, (3.5,) * 3),), N=1.0, alpha=0.2)
-    j = bandlimited_vector(cell, rng, 0.3)
-    m = bandlimited_vector(cell, rng, 0.3)
-    rho_raw = bandlimited_scalar(cell, rng, 0.3)
-    rho = ScalarField(cell, 0.2 * (rho_raw.values - rho_raw.values.min()))
+    J0, rho = _source_parts(cell, rng, 1e-12 if case == "below_floor" else 1.0)
     A = MagneticPotential.zero(cell)
     if case == "off_fixed_point":
         a = helmholtz_project(bandlimited_vector(cell, rng, 0.3), zero_mean=True)
         A = MagneticPotential(VectorField(cell, 0.05 * a.values))
-    elif case == "below_floor":
-        j, m = (VectorField(cell, 1e-12 * f.values) for f in (j, m))
-    A_out = update_vector_potential(j, m, rho, A, spec)
+    J = _lagged_source(J0, rho, A)
+    A_out = update_vector_potential(J, spec)
     got = scf._field_equation_residual(A, A_out, rho, spec.alpha)
-    ref = _source_form_residual(j, m, rho, A, spec.alpha)
+    ref = _source_form_residual(J, rho, A, spec.alpha)
     if case == "off_fixed_point":
         assert 1e-3 < ref < 1.0
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
@@ -449,16 +452,80 @@ def test_scf_field_residual_is_the_source_form_residual():
     spec = SystemSpec(cell, (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.2)
     state = scf_solve(spec, SCFConfig(tol=1e-8, deg_threshold=0.0, max_iter=4, seed=0))
     assert not state.A.is_zero()
-    g = state.gamma
-    ref = _source_form_residual(current(g), magnetisation(g), density(g), state.A, spec.alpha)
+    rho, _, J, _, _ = kinetic_terms(state.gamma, state.A)
+    ref = _source_form_residual(J, rho, state.A, spec.alpha)
     assert ref > 0.0
     assert state.residual_field == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
-def test_scf_one_field_solve_and_one_curl_per_evaluation(monkeypatch):
+def _nyquist_planes(cell):
+    """The modes with a Nyquist index on some axis, as a mask of the (n, n, n) spectrum."""
+    mask = np.zeros((cell.n,) * 3, dtype=bool)
+    for axis in range(3):
+        mask[(slice(None),) * axis + (cell.n // 2,)] = True
+    return mask
+
+
+def _direction(cell, rng, on_nyquist):
+    """A random transverse zero-mean real direction, only on (or only off) the Nyquist planes."""
+    c = cell.to_spectral(helmholtz_project(VectorField(cell, rng.standard_normal((3,) + (cell.n,) * 3)),
+                                           zero_mean=True).values)
+    c[:, _nyquist_planes(cell) != on_nyquist] = 0.0
+    return cell.from_spectral(c).real
+
+
+def test_field_energy_gradient_is_the_solve_kernel_off_the_nyquist_planes():
+    # the solve inverts |k|^2 A / (4 pi alpha^2) with the true |k|^2, while the
+    # field energy takes B = curl A with the Nyquist-zeroed derivative vectors:
+    # off the Nyquist planes the energy's A-gradient is that kernel, on them it
+    # is the Nyquist-zeroed k2 (the energy is quadratic, so central
+    # differences are exact up to roundoff)
+    cell, alpha = Cell(6.0, 8), 0.3
+    rng = np.random.default_rng(2)
+    A = MagneticPotential(helmholtz_project(VectorField(cell, rng.standard_normal((3,) + (8,) * 3)), zero_mean=True))
+    a = cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
+    kernel, zeroed = (cell.from_spectral(k2 * a).real for k2 in (cell.k2_full, cell.k2))
+    for on_nyquist in (False, True):
+        d = _direction(cell, rng, on_nyquist)
+
+        def energy(h):
+            return magnetic_energy(MagneticPotential(VectorField(cell, A.A.values + h * d), check_gauge=False), alpha)
+
+        slope = (energy(0.1) - energy(-0.1)) / 0.2
+        assert slope == pytest.approx(np.sum(zeroed * d) * cell.dV, rel=1e-12)
+        want = np.sum(kernel * d) * cell.dV
+        if on_nyquist:
+            assert abs(slope - want) > 0.1 * abs(want)
+        else:
+            assert slope == pytest.approx(want, rel=1e-12)
+
+
+def test_field_solve_fixed_point_is_stationary_in_A_off_the_nyquist_planes():
+    # with the orbitals held, iterating the solve on the pass's J reaches the
+    # A where the whole grid energy, kinetic plus field, is stationary along
+    # every transverse zero-mean direction off the Nyquist planes
+    cell = Cell(6.0, 8)
+    spec = SystemSpec(cell, (Nucleus(1.0, (3.0,) * 3),), N=1.85, alpha=0.3)
+    gamma, _ = white_noise_state(cell, seed=8)
+    A = MagneticPotential.zero(cell)
+    for _ in range(20):
+        A = update_vector_potential(kinetic_terms(gamma, A)[2], spec)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        d = _direction(cell, rng, on_nyquist=False)
+        slopes = []
+        for term in (lambda P: kinetic_terms(gamma, P)[3], lambda P: magnetic_energy(P, spec.alpha)):
+            ends = [term(MagneticPotential(VectorField(cell, A.A.values + h * d), check_gauge=False)) for h in (0.1, -0.1)]
+            slopes.append((ends[0] - ends[1]) / 0.2)
+        assert abs(sum(slopes)) <= 1e-10 * abs(slopes[0])
+
+
+def test_scf_one_field_solve_per_evaluation_and_no_curl_of_m(monkeypatch):
     # a negative slack counts every step as an energy rise, so the retries
-    # are evaluated too; each evaluation runs one eigensolve
-    counts = {"eigensolve": 0, "update_vector_potential": 0, "curl": 0}
+    # are evaluated too; each evaluation runs one eigensolve and one field
+    # solve on the pass's J: no magnetisation is formed, and every curl
+    # taken is B = curl A of a transverse potential
+    counts = {"eigensolve": 0, "update_vector_potential": 0}
     for name in counts:
         original = getattr(scf, name)
 
@@ -467,12 +534,24 @@ def test_scf_one_field_solve_and_one_curl_per_evaluation(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(scf, name, counted)
+    magnetisations, curl_divergences = [], []
+    # the package re-exports the function density(), which hides the module
+    for module in (scf, import_module("magrhf.density")):
+        monkeypatch.setattr(module, "magnetisation", lambda gamma: magnetisations.append(gamma))
+
+    def traced_curl(v, _original=hamiltonian_module.curl):
+        curl_divergences.append(divergence(v).norm() / max(v.norm(), 1e-300))
+        return _original(v)
+
+    monkeypatch.setattr(hamiltonian_module, "curl", traced_curl)
     spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.2)
     cfg = SCFConfig(tol=1e-10, deg_threshold=0.0, max_iter=2, seed=0, energy_slack_rel=-1.0)
     state = scf_solve(spec, cfg)
     assert not state.A.is_zero()
     assert counts["eigensolve"] > state.iteration
-    assert counts["update_vector_potential"] == counts["curl"] == counts["eigensolve"]
+    assert counts["update_vector_potential"] == counts["eigensolve"]
+    assert not hasattr(scf, "curl") and not magnetisations
+    assert curl_divergences and max(curl_divergences) <= 1e-12
 
 
 # ------------------------------------------------------------------ scf_solve
@@ -870,12 +949,12 @@ def test_scf_spin_block_round_trip_through_a_magnetic_potential(monkeypatch):
     cold = scf_solve(spec, cfg)
     original = scf.update_vector_potential
 
-    def kicked(j, m, rho, A_in, spec):
+    def kicked(J, spec):
         if kicked.first:
             kicked.first = False
             a = helmholtz_project(bandlimited_vector(spec.cell, np.random.default_rng(3)), zero_mean=True)
             return MagneticPotential(VectorField(spec.cell, a.values * (1e-5 / a.norm())), check_gauge=False)
-        return original(j, m, rho, A_in, spec)
+        return original(J, spec)
 
     kicked.first = True
     monkeypatch.setattr(scf, "update_vector_potential", kicked)
@@ -947,10 +1026,7 @@ def test_scf_converged_residuals(criterion6_molecular, criterion6_periodic):
 
 def test_scf_self_consistency_of_field_equation(criterion6_periodic):
     spec, state = criterion6_periodic
-    rho = density(state.gamma)
-    j = current(state.gamma)
-    m = magnetisation(state.gamma)
-    out = update_vector_potential(j, m, rho, state.A, spec)
+    out = update_vector_potential(kinetic_terms(state.gamma, state.A)[2], spec)
     diff = np.abs(out.A.values - state.A.A.values).max()
     scale = max(np.abs(state.A.A.values).max(), 1e-12)
     # plugging the converged observables back reproduces A
