@@ -3,6 +3,9 @@
 A state is stored in spectral form: orthonormal spinor orbitals with
 occupation numbers in [0, 1].  Dense kernels gamma(x, y) are never
 materialised here; test oracles rebuild them on tiny grids when needed.
+A state built from real scalar rows and a spin axis
+(:meth:`DensityMatrix.from_spin_pairs`) keeps that factorisation next to
+its spinor orbitals.
 
 :func:`kinetic_terms` takes rho, j, the kinetic energy, its A-gradient and the
 spin-free trace from one pass over the occupied block; the rest reads it.
@@ -21,10 +24,12 @@ from .fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    _gram,
     gradient,
     inner,
 )
 from .hamiltonian import (
+    PAULI,
     MagneticPotential,
     SystemSpec,
     _add_nyquist,
@@ -52,6 +57,17 @@ __all__ = [
 ]
 
 
+def _spin_pairs(X: np.ndarray, rows: int, chi: np.ndarray) -> np.ndarray:
+    """The first ``rows`` of the spinors ``phi (x) chi, phi (x) chi_perp`` of the (real or
+    complex) scalar rows ``X`` (m, 1, n, n, n), pair by pair, with the unit spinor ``chi``
+    and ``chi_perp = (-conj chi_1, conj chi_0)``; complex whatever the dtype of ``X``."""
+    out = np.empty((rows, 2) + X.shape[2:], dtype=complex)
+    for spin, (a, b) in enumerate(zip(chi, (-np.conj(chi[1]), np.conj(chi[0])))):
+        np.multiply(X[:(rows + 1) // 2, 0], a, out=out[0::2, spin])
+        np.multiply(X[:rows // 2, 0], b, out=out[1::2, spin])
+    return out
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """gamma = sum_k n_k |phi_k><phi_k| with orthonormal spinor orbitals."""
@@ -61,6 +77,31 @@ class DensityMatrix:
     mode: str = "molecular"
     #: ``(A, kinetic_terms(self, A))`` of the last pass
     _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``(rows, chi, spinors)`` of a state built by :meth:`from_spin_pairs`: its scalar rows,
+    #: its spin axis and the (m, 2, n, n, n) block its orbitals are views of
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_spin_pairs(
+        cls, cell: Cell, rows: np.ndarray, chi: np.ndarray, occupations: np.ndarray, mode: str = "molecular"
+    ) -> "DensityMatrix":
+        """gamma on the spin pairs ``phi (x) chi, phi (x) chi_perp`` of the real orthonormal
+        scalar rows ``rows`` (m, 1, n, n, n), one spinor per occupation (:func:`_spin_pairs`).
+
+        The spinor orbitals are materialised (checkpoints and
+        :func:`magnetisation` read them); the rows and ``chi`` are kept,
+        so :func:`kinetic_terms` at A = 0 works on the scalar rows.
+        """
+        if np.iscomplexobj(rows):
+            raise TypeError("spin pairs are built from real scalar rows")
+        occ = np.asarray(occupations, dtype=float)
+        spinors = _spin_pairs(rows, occ.size, chi)
+        gamma = cls(tuple(SpinorField(cell, x) for x in spinors), occ, mode=mode)
+        kept = rows[:(occ.size + 1) // 2].view()
+        spinors.setflags(write=False)
+        kept.setflags(write=False)
+        object.__setattr__(gamma, "_pairs", (kept, np.array(chi, dtype=complex), spinors))
+        return gamma
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orbitals", tuple(self.orbitals))
@@ -84,7 +125,7 @@ class DensityMatrix:
     def _check_orthonormal(self) -> None:
         m = len(self.orbitals)
         X = np.stack([phi.values for phi in self.orbitals]).reshape(m, -1)
-        gram = (X.conj() @ X.T) * self.cell.dV
+        gram = _gram(self.cell, X, X)
         err = np.abs(gram - np.eye(m)).max()
         if err > 1e-10:
             raise ValueError(f"orbitals are not orthonormal: max deviation {err:.3e}")
@@ -127,13 +168,60 @@ def kinetic_terms(
 
     where ``N_k = L^3 sum (k2_full - k2) |c_k|^2`` is the Nyquist share the
     derivative vectors drop.  That is one forward and three inverse
-    transforms per occupied component, at any ``A``.  The pass is kept on
-    ``gamma`` for the ``A`` it was taken in, so an SCF iterate's energy and
-    audit read the same pass.
+    transforms per occupied component, at any ``A``.
+
+    The spin pairs ``phi_i (x) chi, phi_i (x) chi_perp`` of real rows
+    (:meth:`DensityMatrix.from_spin_pairs`) in a zero or absent ``A`` take
+    the pair route on the scalar rows instead.  With the pair weights
+    ``w_i = n_2i + n_2i+1``, ``d_i = n_2i - n_2i+1`` and the spin direction
+    ``s = chi^+ sigma chi``::
+
+        rho = sum_i w_i phi_i^2,  j = 0,  J = sum_i d_i phi_i (grad phi_i x s)
+        kinetic = trace / 2 = (1/2) sum_i w_i L^3 sum k2_full |c_i|^2
+
+    with the Nyquist-zeroed spectral gradient: one half-spectrum forward
+    transform per occupied row, and three inverse ones more per row with
+    ``d_i != 0``, so a balanced fill has ``J = 0`` exactly.  The pass is
+    kept on ``gamma`` for the ``A`` it was taken in, so an SCF iterate's
+    energy and audit read the same pass.
     """
     if gamma._pass is not None and gamma._pass[0] is A:
         return gamma._pass[1]
-    cell, a = gamma.cell, _vector_potential(gamma.cell, A)
+    a = _vector_potential(gamma.cell, A)
+    terms = _pair_terms(gamma) if a is None and gamma._pairs is not None else _spinor_terms(gamma, a)
+    object.__setattr__(gamma, "_pass", (A, terms))
+    return terms
+
+
+def _pair_terms(gamma: DensityMatrix) -> tuple[ScalarField, VectorField, VectorField, float, float]:
+    """The pair route of :func:`kinetic_terms`: the spin pairs of real scalar rows at A = 0."""
+    cell, (rows, chi, _) = gamma.cell, gamma._pairs
+    occ = np.append(gamma.occupations, 0.0)[: 2 * len(rows)]  # an odd last row has an empty partner
+    w, d = occ[0::2] + occ[1::2], occ[0::2] - occ[1::2]
+    live = w != 0.0
+    phi, w, d = rows[live, 0], w[live], d[live]
+    c = cell.to_half_spectral(phi)
+    power = cell.k2_half * (c.real**2 + c.imag**2)
+    # each mode with 0 < m_z < n/2 stands for itself and its conjugate partner
+    per_row = 2.0 * power.sum(axis=(1, 2, 3)) - power[..., 0].sum(axis=(1, 2)) - power[..., -1].sum(axis=(1, 2))
+    kinetic = float(0.5 * cell.volume * (w @ per_row))
+    J = np.zeros((3,) + (cell.n,) * 3)
+    spin = d != 0.0
+    if spin.any():  # J = G x s with G = sum_i d_i phi_i grad phi_i
+        d_phi, c = d[spin, None, None, None] * phi[spin], c[spin]
+        G = np.stack([
+            np.sum(d_phi * cell.from_half_spectral(1j * k_i[..., : c.shape[-1]] * c), axis=0) for k_i in cell.k
+        ])
+        J = np.cross(G, np.real(np.einsum("s,ist,t->i", chi.conj(), PAULI, chi)), axisa=0, axisc=0)
+    rho = ScalarField(cell, np.tensordot(w, phi * phi, axes=1))
+    return rho, VectorField.zeros(cell), VectorField(cell, J), kinetic, 2.0 * kinetic
+
+
+def _spinor_terms(
+    gamma: DensityMatrix, a: np.ndarray | None
+) -> tuple[ScalarField, VectorField, VectorField, float, float]:
+    """The spinor route of :func:`kinetic_terms`, in the potential samples ``a`` (``None`` for zero)."""
+    cell = gamma.cell
     # rows sqrt(n_k) psi_k make each occupation-weighted sum one inner product
     psi = np.array([np.sqrt(n_k) * phi.values for n_k, phi in zip(gamma.occupations, gamma.orbitals) if n_k != 0.0])
     psi = psi.reshape((-1, 2) + (cell.n,) * 3)
@@ -155,9 +243,7 @@ def kinetic_terms(
     for axis, sigma_i in enumerate(np.eye(3)):
         sigma_root = _sigma_dot(_sigma_entries(sigma_i), root, tmp, buf)
         J[axis] = np.sum(np.multiply(psi_bar, sigma_root, out=tmp).real, axis=(0, 1))
-    terms = (density(gamma), VectorField(cell, j), VectorField(cell, J), kinetic, float(squares * cell.dV + nyquist))
-    object.__setattr__(gamma, "_pass", (A, terms))
-    return terms
+    return density(gamma), VectorField(cell, j), VectorField(cell, J), kinetic, float(squares * cell.dV + nyquist)
 
 
 def current(gamma: DensityMatrix) -> VectorField:

@@ -15,9 +15,12 @@ energy the loop minimises.  The loop alternates a preconditioned block
 eigensolve, aufbau filling, one spectral solve of the linear field
 equation (with the ``A rho`` part of ``J`` lagged), Anderson mixing of
 the density and linear mixing of the potential.  At A = 0 the operator
-is ``h (x) 1``: the eigensolve finds the levels of the scalar ``h``
-once, on half the block and in real arithmetic (``h`` is real
-symmetric), and pairs them into spinors along one spin axis per run.
+is ``h (x) 1``, and the evaluation is scalar end to end: the eigensolve
+finds the levels of the scalar ``h`` once, on half the block and in
+real arithmetic (``h`` is real symmetric), and pairs them into spinors
+along one spin axis per run; the derivative pass, the orbital residual
+and, for an equally filled state, the field solve then work on the
+scalar rows or take no transform.
 Convergence is declared on three residuals evaluated at the iterate
 itself: the orbital residual of the occupied states in their own mean
 field, the field-equation residual, and the continuity residual
@@ -40,6 +43,7 @@ from scipy.linalg.blas import get_blas_funcs
 from .density import (
     DensityMatrix,
     EnergyBreakdown,
+    _spin_pairs,
     current,  # uncalled: perfbench/spans.py patches it here (ROADMAP direction 3)
     density,
     kinetic_inequality_report,
@@ -53,6 +57,7 @@ from .fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    _gram,
     divergence,
     prolong,
     restrict,
@@ -150,16 +155,6 @@ class EigensolveError(RuntimeError):
         super().__init__(message)
         self.levels = levels
         self.residuals = residuals
-
-
-def _gram(cell: Cell, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gram matrix ``dV conj(A) B^T`` of two row blocks, shapes (ma|mb, N).
-
-    One ``zgemm`` (``dgemm`` for real rows) on the transposed
-    (Fortran-ordered) views conjugates ``A`` inside BLAS, so no
-    conjugated copy is made.
-    """
-    return get_blas_funcs("gemm", (A, B))(cell.dV, A.T, B.T, trans_a=2)
 
 
 def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
@@ -412,17 +407,6 @@ def _spin_axis(seed: int) -> np.ndarray:
     return (z[:2] + 1j * z[2:]) / np.linalg.norm(z)
 
 
-def _spin_pairs(X: np.ndarray, rows: int, chi: np.ndarray) -> np.ndarray:
-    """The first ``rows`` of the spinors ``phi (x) chi, phi (x) chi_perp`` of the (real or
-    complex) scalar rows ``X`` (m, 1, n, n, n), pair by pair, with the unit spinor ``chi``
-    and ``chi_perp = (-conj chi_1, conj chi_0)``; complex whatever the dtype of ``X``."""
-    out = np.empty((rows, 2) + X.shape[2:], dtype=complex)
-    for spin, (a, b) in enumerate(zip(chi, (-np.conj(chi[1]), np.conj(chi[0])))):
-        np.multiply(X[:(rows + 1) // 2, 0], a, out=out[0::2, spin])
-        np.multiply(X[:rows // 2, 0], b, out=out[1::2, spin])
-    return out
-
-
 def _spatial_rows(cell: Cell, X: np.ndarray, rows: int) -> np.ndarray:
     """Real scalar rows (k, 1, n, n, n), k <= ``rows``, from the spinor rows ``X``: the span of
     the real and imaginary parts of their components, whitened, keeping its ``rows``
@@ -494,11 +478,14 @@ def update_vector_potential(J: VectorField, spec: SystemSpec) -> MagneticPotenti
     picture).  ``J`` is the A-gradient of the kinetic energy from
     :func:`~magrhf.density.kinetic_terms`, taken in the incoming potential,
     whose ``A rho`` term it carries: the solve is lagged, and the outer
-    iteration carries the lag.
+    iteration carries the lag.  An exactly zero ``J`` (a balanced fill of
+    spin pairs at A = 0) gives the exact zero potential with no transform.
     """
     cell = J.cell
     if spec.cell != cell:
         raise ValueError("all fields must live on one cell")
+    if not np.any(J.values):
+        return MagneticPotential.zero(cell)
     shat = transverse_spectral(cell, cell.to_spectral(J.values))
     ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2[None]
     ahat[:, 0, 0, 0] = 0.0
@@ -539,8 +526,11 @@ def _field_equation_residual(
     Source terms below :func:`_source_floor` count as an exactly
     satisfied equation rather than a noise-over-noise ratio.  A zero
     potential has no Laplacian term, so its residual needs no transform
-    of ``A``.
+    of ``A``, and with a zero ``A_out`` too the residual is 0 with no
+    transform at all.
     """
+    if A.is_zero() and A_out.is_zero():
+        return 0.0
     cell = A_out.cell
     weight = cell.k2_full[None] / (4.0 * np.pi * alpha**2)
 
@@ -734,12 +724,20 @@ def scf_solve(
     ``ceil(block/2)`` real rows for ``ceil(count/2)`` pairs (``h`` is real
     symmetric, so float64 arithmetic throughout:
     ``eigensolve(..., real=True)``); each ``phi`` becomes the spinors
-    ``phi (x) chi`` and ``phi (x) chi_perp`` with its level and ``H phi``
-    repeated, truncated to the spinor block.  ``chi`` is one unit spinor
+    ``phi (x) chi`` and ``phi (x) chi_perp`` with its level repeated,
+    truncated to the spinor block.  ``chi`` is one unit spinor
     per run, drawn from ``config.seed`` (:func:`_spin_axis`), so a
     zero-threshold fill, which takes ``phi (x) chi`` before its partner,
     polarises along ``chi^+ sigma chi`` on every platform and at every
-    return to A = 0.  An evaluation at A != 0 solves the spinor block.
+    return to A = 0.  The rest of an A = 0 evaluation stays scalar: the
+    state keeps its rows and ``chi``
+    (:meth:`~magrhf.density.DensityMatrix.from_spin_pairs`), so the
+    derivative pass takes its half-spectrum pair route; the orbital
+    residual is taken on the occupied scalar rows and their ``h phi``,
+    since ``||(H - t) phi (x) chi|| = ||(h - t) phi||``; and an equally
+    filled state has ``J = 0`` exactly, for which the field solve and
+    its residual return zero with no transform.  An evaluation at
+    A != 0 solves the spinor block.
     An evaluation at A = 0 is warm-started from the previous scalar
     block, or from the real span of spinor rows (:func:`_spatial_rows`);
     one at A != 0 from the previous spinor orbitals, the spin pairs of a
@@ -799,22 +797,26 @@ def scf_solve(
             make_hamiltonian(cell, v_eff, A), cell, c, block=b, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps, real=spin_block,
         )
-        orbitals = start
         if spin_block:  # phi (x) chi and phi (x) chi_perp, truncated to the rows a spinor solve returns
             levels = np.repeat(levels, 2)[:block]
-            orbitals = _spin_pairs(start, block, chi)
         occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
-        # the filled rows are a prefix; only they enter the residual, so H X keeps only them
+        # the filled rows are a prefix; only they enter the residual, so H X keeps only them.
+        # At A = 0 a pair's residual is its scalar row's, ||(H - t) phi (x) chi|| = ||(h - t) phi||,
+        # and the fill, which never rises along the levels, takes phi (x) chi first
         filled = int(np.flatnonzero(occ)[-1]) + 1
-        h_orbitals = _spin_pairs(h_orbitals, filled, chi) if spin_block else h_orbitals[:filled].copy()
-        gamma = DensityMatrix(
-            tuple(SpinorField(cell, orbitals[i]) for i in range(len(occ))), occ, mode=spec.mode
-        )
+        rows, occ_rows = ((filled + 1) // 2, occ[:filled:2]) if spin_block else (filled, occ[:filled])
+        h_orbitals = h_orbitals[:rows].copy()
+        if spin_block:
+            gamma = DensityMatrix.from_spin_pairs(cell, start, chi, occ, mode=spec.mode)
+            orbitals = gamma._pairs[2]  # the spinor block its orbitals view
+        else:
+            gamma = DensityMatrix(tuple(SpinorField(cell, x) for x in start), occ, mode=spec.mode)
+            orbitals = start
         rho_out, j, J, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
         # the orbital residual at the output mean field, whose H differs from
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
-        h_orbitals += (hartree(rho_out)[0].values - v_h.values) * orbitals[:filled]
-        res_orb = _orbital_residual(cell, orbitals[:filled], h_orbitals, occ[:filled])
+        h_orbitals += (hartree(rho_out)[0].values - v_h.values) * start[:rows]
+        res_orb = _orbital_residual(cell, start[:rows], h_orbitals, occ_rows)
         del h_orbitals  # free the H X rows before the field solve
         if config.pin_A:
             A_out, res_field = MagneticPotential.zero(cell), 0.0

@@ -245,6 +245,71 @@ def test_pass_J_is_the_continuum_source_on_band_limited_states():
     assert np.abs(J.values - source).max() <= 1e-14 * np.abs(source).max()
 
 
+def _spin_pair_state(cell: Cell, occ: list[float], seed: int = 0) -> DensityMatrix:
+    """gamma on the spin pairs of white-noise real rows (the Nyquist planes included) along a complex axis."""
+    rng = np.random.default_rng(seed)
+    m = (len(occ) + 1) // 2
+    q, _ = np.linalg.qr(rng.standard_normal((cell.n**3, m)))
+    z = rng.standard_normal(4)
+    chi = (z[:2] + 1j * z[2:]) / np.linalg.norm(z)
+    rows = (q.T / np.sqrt(cell.dV)).reshape((m, 1) + (cell.n,) * 3)
+    return DensityMatrix.from_spin_pairs(cell, rows, chi, np.array(occ))
+
+
+#: spinor fills of spin pairs: (fill, occupied scalar rows, rows with unequal members)
+PAIR_FILLS = {
+    "balanced": ([1.0, 1.0, 0.4, 0.4, 0.0, 0.0], 2, 0),
+    "unbalanced": ([1.0, 0.0, 1.0, 1.0, 0.3, 0.0], 3, 2),
+    "fractional": ([0.7, 0.2, 0.5, 0.5, 0.1, 0.05], 3, 2),
+    "unoccupied_row": ([1.0, 1.0, 0.0, 0.0, 1.0, 0.5], 2, 1),
+    "odd_row_count": ([1.0, 1.0, 1.0, 0.5, 0.25], 3, 2),
+}
+
+
+@pytest.mark.parametrize("fill", PAIR_FILLS)
+def test_pair_route_matches_the_spinor_route(fill):
+    # the same spinor orbitals without their factorisation take the spinor
+    # route, the oracle; j of real rows is exactly zero, and so is J where
+    # every pair is equally filled
+    occ = PAIR_FILLS[fill][0]
+    gamma = _spin_pair_state(CELL8, occ)
+    spinor = DensityMatrix(gamma.orbitals, gamma.occupations)
+    for A in (None, MagneticPotential.zero(CELL8)):
+        rho, j, J, kinetic, trace = kinetic_terms(gamma, A)
+        rho_s, _, J_s, kinetic_s, trace_s = kinetic_terms(spinor, A)
+        assert np.abs(rho.values - rho_s.values).max() <= 1e-14 * rho_s.values.max()
+        assert not j.values.any()
+        if fill == "balanced":
+            assert not J.values.any()
+        else:
+            assert np.abs(J.values - J_s.values).max() <= 1e-14 * np.abs(J_s.values).max()
+        assert abs(kinetic - kinetic_s) <= 1e-14 * kinetic_s
+        assert abs(trace - trace_s) <= 1e-14 * trace_s
+
+
+def test_pair_route_transform_counts(transform_rows):
+    # one half-spectrum forward transform per occupied scalar row and three
+    # inverse ones per unequally filled row, no complex transform; in a
+    # nonzero A the pairs take the spinor route, 1 + 3 transforms per component
+    A = white_noise_state(CELL8, seed=1)[1]
+    for occ, occupied, unbalanced in PAIR_FILLS.values():
+        gamma = _spin_pair_state(CELL8, occ)
+        transform_rows.clear()
+        kinetic_terms(gamma, None)
+        want = {"to_half_spectral": occupied} | ({"from_half_spectral": 3 * unbalanced} if unbalanced else {})
+        assert transform_rows == want
+        transform_rows.clear()
+        kinetic_terms(gamma, A)
+        components = 2 * int(np.count_nonzero(gamma.occupations))
+        assert transform_rows == {"to_spectral": components, "from_spectral": 3 * components}
+
+
+def test_spin_pairs_need_real_rows():
+    rows = np.zeros((1, 1) + (CELL8.n,) * 3, dtype=complex)
+    with pytest.raises(TypeError):
+        DensityMatrix.from_spin_pairs(CELL8, rows, np.array([1.0, 0.0]), np.array([1.0]))
+
+
 def test_total_energy_matches_dense_contraction():
     # rank-1 random state on an 8^3 grid: every term against a brute-force
     # contraction with independently assembled integrals

@@ -675,9 +675,10 @@ def _unpolarised_h() -> SystemSpec:
 
 
 def test_scf_unpolarised_takes_zero_a_and_matches_pinned(monkeypatch):
-    # roundoff in j and m leaves a potential the field solve cannot tell
-    # from zero; it is snapped to an exact zero, so every build takes the
-    # A = 0 apply and the solve reproduces the decoupled (pinned) one
+    # a balanced fill at A = 0 has an exactly zero source J, and a potential
+    # the field solve cannot tell from zero is snapped to an exact zero, so
+    # every build takes the A = 0 apply and the solve reproduces the
+    # decoupled (pinned) one
     spec = _unpolarised_h()
     pinned = scf_solve(spec, SCFConfig(tol=1e-7, pin_A=True, seed=0))
     zero_a = _record_builds(monkeypatch)
@@ -687,6 +688,27 @@ def test_scf_unpolarised_takes_zero_a_and_matches_pinned(monkeypatch):
     assert state.A.is_zero()
     assert state.iteration == pinned.iteration
     assert abs(state.energy.total - pinned.energy.total) <= 1e-12 * abs(pinned.energy.total)
+
+
+def test_scf_unpolarised_evaluation_is_scalar_after_its_eigensolve(monkeypatch, transform_rows):
+    # at A = 0 a balanced fill's pass runs on the scalar rows and its J is
+    # exactly zero, so the field solve and its residual return zero: none of
+    # the three takes a complex transform
+    complex_rows = {}
+    for name in ("kinetic_terms", "update_vector_potential", "_field_equation_residual"):
+
+        def counted(*args, _name=name, _original=getattr(scf, name), **kwargs):
+            before = transform_rows.get("to_spectral", 0) + transform_rows.get("from_spectral", 0)
+            out = _original(*args, **kwargs)
+            after = transform_rows.get("to_spectral", 0) + transform_rows.get("from_spectral", 0)
+            complex_rows[_name] = complex_rows.get(_name, 0) + after - before
+            return out
+
+        monkeypatch.setattr(scf, name, counted)
+    state = scf_solve(_unpolarised_h(), SCFConfig(tol=1e-7, seed=0))
+    assert state.converged and state.A.is_zero() and state.residual_field == 0.0
+    assert complex_rows == {"kinetic_terms": 0, "update_vector_potential": 0, "_field_equation_residual": 0}
+    assert not kinetic_terms(state.gamma, state.A)[2].values.any()
 
 
 def test_scf_warm_start_snaps_roundoff_potential(monkeypatch):
