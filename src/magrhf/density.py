@@ -310,6 +310,7 @@ def total_energy(
     spec: SystemSpec,
     *,
     V: ScalarField | None = None,
+    hartree_energy: float | None = None,
 ) -> EnergyBreakdown:
     """Evaluate the four-term mean-field energy of (gamma, A).
 
@@ -319,7 +320,9 @@ def total_energy(
     magnetic = int |B|^2 / (8 pi alpha^2)
 
     The kinetic term and rho are read off :func:`kinetic_terms`.  ``V``
-    may be supplied to avoid rebuilding the nuclear potential.
+    may be supplied to avoid rebuilding the nuclear potential, and
+    ``hartree_energy`` (the energy :func:`hartree` gives for that rho) to
+    avoid solving the Poisson equation again.
     """
     cell = gamma.cell
     if A.cell != cell or spec.cell != cell:
@@ -328,7 +331,8 @@ def total_energy(
     if V is None:
         V = external_potential(spec)
     ext = inner(V, rho)
-    _, hartree_energy = hartree(rho)
+    if hartree_energy is None:
+        _, hartree_energy = hartree(rho)
     mag = magnetic_energy(A, spec.alpha)
     return EnergyBreakdown(kinetic=kinetic, external=float(ext),
                            hartree=float(hartree_energy), magnetic=float(mag))

@@ -4,11 +4,12 @@ A deliberately separate assembly of the decoupled problem: scalar
 orbitals of ``-lap/2 + V + rho * coulomb`` with spin handled as a
 capacity-2 occupation per spatial level, and the energy summed directly
 from its integrals.  It shares only the low-level spectral primitives,
-the eigensolver, its tolerance schedule, the orbital residual and the
-density mixer with the spinor machinery, which makes it a useful
-cross-check of the full path in the ``A -> 0`` limit.  The operator is
-real symmetric, so its orbitals are real: the eigensolver runs in float64
-and the Hamiltonian through the half-spectrum transform pair.
+the eigensolver, its half-grid cold start (run on the oracle's own
+operator), its tolerance schedule, the orbital residual and the density
+mixer with the spinor machinery, which makes it a useful cross-check of
+the full path in the ``A -> 0`` limit.  The operator is real symmetric,
+so its orbitals are real: the eigensolver runs in float64 and the
+Hamiltonian through the half-spectrum transform pair.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .fields import Cell, ScalarField
 from .hamiltonian import SystemSpec, external_potential, hartree
-from .scf import _AndersonMixer, _EigTolSchedule, _orbital_residual, eigensolve
+from .scf import _AndersonMixer, _coarse_start, _EigTolSchedule, _orbital_residual, eigensolve
 
 __all__ = ["SpinlessResult", "scf_solve_spinless"]
 
@@ -94,14 +95,19 @@ def scf_solve_spinless(
     can be compared at matching tightness.  The eigensolver tolerance
     follows the spinor path's schedule, driven by the orbital residual,
     and convergence needs it to have reached ``eig_tol``.  The orbitals
-    are real and the eigensolves run in float64 (``real=True``).  The
-    nuclei carry the default smearing of :func:`external_potential`.
+    are real and the eigensolves run in float64 (``real=True``).  Each
+    converges the ``ceil(N/2) + 1`` levels the filling reads (the occupied
+    ones and the first above) in a block of two rows more, and the first
+    starts from the half-grid Ritz vectors of its own operator
+    (:func:`~magrhf.scf._coarse_start`; random rows where that grid is too
+    small or its solve fails).  The nuclei carry the default smearing of
+    :func:`external_potential`.
     """
     cell = spec.cell
     if eig_tol is None:
         eig_tol = max(1e-10, 0.1 * tol)
     V = external_potential(spec)
-    n_spatial = int(math.ceil(spec.N / 2.0 - 1e-12)) + 2
+    n_spatial = int(math.ceil(spec.N / 2.0 - 1e-12)) + 1
 
     # initial density: one broad Gaussian per nucleus
     vals = np.zeros((cell.n,) * 3)
@@ -121,6 +127,10 @@ def scf_solve_spinless(
     for it in range(1, MAX_ITER + 1):
         v_h, _ = hartree(rho)
         v_eff = V.values + v_h.values
+        if X_warm is None:  # the cold start
+            X_warm = _coarse_start(
+                _scalar_hamiltonian, ScalarField(cell, v_eff), n_spatial, n_spatial + 2, schedule.tol, seed
+            )
 
         levels, orbitals, _, _, HX = eigensolve(
             _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=schedule.tol,

@@ -554,6 +554,29 @@ def test_scf_one_field_solve_per_evaluation_and_no_curl_of_m(monkeypatch):
     assert curl_divergences and max(curl_divergences) <= 1e-12
 
 
+def test_scf_two_poisson_solves_per_evaluation(monkeypatch):
+    # each evaluation (the retries too) solves the Poisson equation for its input
+    # density and for rho_out, and the energy reads the second solve instead of
+    # taking a third: its Hartree term is that of the state's own pass, bit for bit
+    density_module = import_module("magrhf.density")
+    counts = {"eigensolve": 0, "scf.hartree": 0, "density.hartree": 0}
+    for key, module, name in (("eigensolve", scf, "eigensolve"), ("scf.hartree", scf, "hartree"),
+                              ("density.hartree", density_module, "hartree")):
+
+        def counted(*args, _key=key, _original=getattr(module, name), **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=1.0, alpha=0.2)
+    cfg = SCFConfig(tol=1e-10, deg_threshold=0.0, max_iter=2, seed=0, energy_slack_rel=-1.0)
+    state = scf_solve(spec, cfg)
+    assert counts["eigensolve"] > state.iteration
+    assert counts["scf.hartree"] == 2 * counts["eigensolve"] and counts["density.hartree"] == 0
+    rho_out = kinetic_terms(state.gamma, state.A)[0]
+    assert state.energy.hartree == hamiltonian_module.hartree(rho_out)[1]
+
+
 # ------------------------------------------------------------------ scf_solve
 def test_scf_pinned_matches_spinless_reference():
     from magrhf.spinless import scf_solve_spinless
@@ -593,6 +616,64 @@ def test_spinless_residual_reuses_eigensolver_hx(monkeypatch):
     fresh = spinless._scalar_hamiltonian(cell, V.values + hartree(ref.rho)[0].values)(orbitals)
     assert np.linalg.norm(hx_out - fresh) <= 1e-12 * np.linalg.norm(fresh)
     assert abs(ref.orbital_residual - _orbital_residual(cell, orbitals, fresh, ref.occupations)) <= 1e-12
+
+
+def _record_oracle_solves(monkeypatch) -> list[dict]:
+    """Patch ``spinless.eigensolve`` to record the level count, block, start and iterations of each call."""
+    import magrhf.spinless as spinless
+
+    calls: list[dict] = []
+    original = spinless.eigensolve
+
+    def recorded(apply_h, cell, count, *, X0=None, **kwargs):
+        out = original(apply_h, cell, count, X0=X0, **kwargs)
+        calls.append({"count": count, "block": kwargs["block"], "X0": X0, "iterations": out[3]})
+        return out
+
+    monkeypatch.setattr(spinless, "eigensolve", recorded)
+    return calls
+
+
+def test_spinless_cold_start_solves_the_half_grid_first(monkeypatch):
+    # the oracle's first eigensolve starts from the half-grid Ritz vectors of
+    # its own operator and needs a few iterations; from random rows it needs ~30.
+    # A failing half-grid solve falls back to the random start
+    import magrhf.spinless as spinless
+
+    spec = SystemSpec(Cell(8.0, 16), (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.02)
+    calls = _record_oracle_solves(monkeypatch)
+    ref = spinless.scf_solve_spinless(spec, tol=1e-9)
+    assert ref.converged
+    assert calls[0]["X0"] is not None and calls[0]["X0"].shape[:2] == (4, 1)
+    assert calls[0]["iterations"] <= 10
+    for fallback in ("no_half_grid", "failing_half_grid"):
+        calls.clear()
+        with monkeypatch.context() as m:
+            if fallback == "no_half_grid":
+                m.setattr(spinless, "_coarse_start", lambda *args: None)
+            else:
+                def failing(*args, **kwargs):
+                    raise EigensolveError("forced", np.zeros(0), np.zeros(0))
+
+                m.setattr(scf, "_lobpcg", failing)
+            random = spinless.scf_solve_spinless(spec, tol=1e-9)
+        assert calls[0]["X0"] is None and calls[0]["iterations"] > 10
+        assert random.converged
+        assert abs(random.energy_total - ref.energy_total) <= 1e-12 * abs(ref.energy_total)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_spinless_converges_the_levels_its_filling_reads(monkeypatch, N):
+    # the oracle converges ceil(N/2) + 1 spatial levels, the occupied ones and the
+    # one above, in a block of two rows more, on the half grid and the fine grid
+    import magrhf.spinless as spinless
+
+    fine, coarse = _record_oracle_solves(monkeypatch), _record_solves(monkeypatch, "_lobpcg")
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(float(N), (4.0,) * 3),), N=float(N), alpha=0.02)
+    assert spinless.scf_solve_spinless(spec, tol=1e-9).converged
+    count = math.ceil(N / 2) + 1
+    assert len(coarse) == 1 and (coarse[0]["args"][2], coarse[0]["kwargs"]["block"]) == (count, count + 2)
+    assert {(call["count"], call["block"]) for call in fine} == {(count, count + 2)}
 
 
 def test_eig_tol_schedule():
@@ -810,8 +891,9 @@ def _pinned_he() -> tuple[SystemSpec, SCFConfig]:
 
 @pytest.mark.parametrize("case", ["zero_A", "zero_deg_threshold", "nonzero_A"])
 def test_scf_selects_the_spin_block_solve(monkeypatch, case):
-    # H fills 1 level of a block of 4 spinors; at A = 0, whatever deg_threshold,
-    # the fine and the half-grid solve run on 2 scalar rows, at A != 0 on 4 spinors
+    # H fills 1 level of a block of 4 spinors and reads the one above; at A = 0,
+    # whatever deg_threshold, the fine and the half-grid solve converge 1 of 2
+    # scalar rows, at A != 0 2 of 4 spinors
     spec, initial = _unpolarised_h(), None
     if case == "nonzero_A":
         spec = replace(spec, alpha=0.2)
@@ -821,9 +903,9 @@ def test_scf_selects_the_spin_block_solve(monkeypatch, case):
     fine, coarse = _record_solves(monkeypatch, "eigensolve"), _record_solves(monkeypatch, "_lobpcg")
     cfg = SCFConfig(tol=1e-6, deg_threshold=0.0 if case == "zero_deg_threshold" else 1e-6, max_iter=1, seed=0)
     state = scf_solve(spec, cfg, initial=initial)
-    components, rows = (2, 4) if case == "nonzero_A" else (1, 2)
+    components, count, rows = (2, 2, 4) if case == "nonzero_A" else (1, 1, 2)
     for call in fine + coarse:
-        assert (call["kwargs"]["components"], call["kwargs"]["block"]) == (components, rows)
+        assert (call["kwargs"]["components"], call["args"][2], call["kwargs"]["block"]) == (components, count, rows)
         assert call["orbitals"].shape[:2] == (rows, components)
     assert fine[0]["X0"].shape[:2] == (rows, components)
     assert len(coarse) == (initial is None)
@@ -1182,6 +1264,31 @@ def test_scf_smallest_block_keeps_a_guard_row(monkeypatch):
     for call in calls:
         apply_h, cell, count = call["args"]
         wide = eigensolve(apply_h, cell, count, **{**call["kwargs"], "block": 2 * call["kwargs"]["block"]})
+        assert np.abs(call["levels"][:count] - wide[0][:count]).max() <= call["kwargs"]["tol"]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_scf_default_block_converges_the_levels_the_fill_reads(monkeypatch, N):
+    # H, He and Li in the default block: every eigensolve (the half-grid one, the
+    # fine one at A = 0 and, from a warm start with a potential, the one at A != 0)
+    # asks for the levels the fill reads, the ceil(N) occupied ones and the one
+    # above (their scalar rows at A = 0), keeps a guard row, and finds those levels
+    # as a solve of twice its block does, to its tolerance
+    cell = Cell(8.0, 12)
+    spec = SystemSpec(cell, (Nucleus(float(N), (4.0,) * 3),), N=float(N), alpha=0.2)
+    fine, coarse = _record_solves(monkeypatch, "eigensolve"), _record_solves(monkeypatch, "_lobpcg")
+    cfg = SCFConfig(tol=1e-7, max_iter=1, seed=0)
+    cold = scf_solve(spec, cfg)
+    a = 0.05 * bandlimited_vector(cell, np.random.default_rng(N)).values
+    A = MagneticPotential(helmholtz_project(VectorField(cell, a)))
+    scf_solve(spec, cfg, initial=(cold.gamma, A))
+    assert len(coarse) == 1 and [call["kwargs"]["components"] for call in fine] == [1, 2]
+    for call in coarse + fine:
+        apply_h, cell_, count = call["args"]
+        block = call["kwargs"]["block"]
+        assert count == (math.ceil((N + 1) / 2) if call["kwargs"]["components"] == 1 else N + 1)
+        assert block >= count + 1
+        wide = eigensolve(apply_h, cell_, count, **{**call["kwargs"], "block": 2 * block})
         assert np.abs(call["levels"][:count] - wide[0][:count]).max() <= call["kwargs"]["tol"]
 
 
