@@ -1,11 +1,11 @@
 """Finite-rank one-body density matrices and their observables.
 
-A state is stored in spectral form: orthonormal spinor orbitals with
+A state is stored in spectral form: orthonormal spinor orbitals, stacked
+once into one read-only block (:attr:`DensityMatrix.block`), with
 occupation numbers in [0, 1].  Dense kernels gamma(x, y) are never
 materialised here; test oracles rebuild them on tiny grids when needed.
 A state built from real scalar rows and a spin axis
-(:meth:`DensityMatrix.from_spin_pairs`) keeps that factorisation next to
-its spinor orbitals.
+(:meth:`DensityMatrix.from_spin_pairs`) keeps both next to its block.
 
 :func:`kinetic_terms` takes rho, j, the kinetic energy, its A-gradient and the
 spin-free trace from one pass over the occupied block; the rest reads it.
@@ -24,6 +24,7 @@ from .fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    _freeze,
     _gram,
     gradient,
     inner,
@@ -70,15 +71,18 @@ def _spin_pairs(X: np.ndarray, rows: int, chi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """gamma = sum_k n_k |phi_k><phi_k| with orthonormal spinor orbitals."""
+    """gamma = sum_k n_k |phi_k><phi_k| with orthonormal spinor orbitals.
+
+    They are stacked once into the read-only (m, 2, n, n, n) :attr:`block`, whose rows :attr:`orbitals` view.
+    """
 
     orbitals: tuple[SpinorField, ...]
     occupations: np.ndarray
     mode: str = "molecular"
+    block: np.ndarray = field(init=False, repr=False, compare=False)
     #: ``(A, kinetic_terms(self, A))`` of the last pass
     _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    #: ``(rows, chi, spinors)`` of a state built by :meth:`from_spin_pairs`: its scalar rows,
-    #: its spin axis and the (m, 2, n, n, n) block its orbitals are views of
+    #: ``(rows, chi)`` of a state built by :meth:`from_spin_pairs`: its scalar rows and its spin axis
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -88,19 +92,17 @@ class DensityMatrix:
         """gamma on the spin pairs ``phi (x) chi, phi (x) chi_perp`` of the real orthonormal
         scalar rows ``rows`` (m, 1, n, n, n), one spinor per occupation (:func:`_spin_pairs`).
 
-        The spinor orbitals are materialised (checkpoints and
-        :func:`magnetisation` read them); the rows and ``chi`` are kept,
-        so :func:`kinetic_terms` at A = 0 works on the scalar rows.
+        The spinors go through the constructor into the block; the rows and
+        ``chi`` are kept, so :func:`kinetic_terms` and an SCF warm start at
+        A = 0 work on the scalar rows.
         """
         if np.iscomplexobj(rows):
             raise TypeError("spin pairs are built from real scalar rows")
         occ = np.asarray(occupations, dtype=float)
-        spinors = _spin_pairs(rows, occ.size, chi)
-        gamma = cls(tuple(SpinorField(cell, x) for x in spinors), occ, mode=mode)
+        gamma = cls(tuple(SpinorField(cell, x) for x in _spin_pairs(rows, occ.size, chi)), occ, mode=mode)
         kept = rows[:(occ.size + 1) // 2].view()
-        spinors.setflags(write=False)
         kept.setflags(write=False)
-        object.__setattr__(gamma, "_pairs", (kept, np.array(chi, dtype=complex), spinors))
+        object.__setattr__(gamma, "_pairs", (kept, np.array(chi, dtype=complex)))
         return gamma
 
     def __post_init__(self) -> None:
@@ -110,6 +112,8 @@ class DensityMatrix:
             raise ValueError("one occupation number per orbital is required")
         if not self.orbitals:
             raise ValueError("a density matrix needs at least one orbital")
+        if not np.isfinite(occ).all():
+            raise ValueError(f"occupations must be finite, got {occ}")
         if occ.min() < -1e-12 or occ.max() > 1.0 + 1e-12:
             raise ValueError(f"occupations must lie in [0, 1], got range "
                              f"[{occ.min()}, {occ.max()}]")
@@ -120,13 +124,14 @@ class DensityMatrix:
         for phi in self.orbitals[1:]:
             if phi.cell != cell:
                 raise CellMismatchError("orbitals live on different cells")
+        object.__setattr__(self, "block", _freeze(np.stack([phi.values for phi in self.orbitals])))
+        object.__setattr__(self, "orbitals", tuple(SpinorField(cell, x) for x in self.block))
         self._check_orthonormal()
 
     def _check_orthonormal(self) -> None:
-        m = len(self.orbitals)
-        X = np.stack([phi.values for phi in self.orbitals]).reshape(m, -1)
+        X = self.block.reshape(len(self.block), -1)
         gram = _gram(self.cell, X, X)
-        err = np.abs(gram - np.eye(m)).max()
+        err = np.abs(gram - np.eye(len(X))).max()
         if err > 1e-10:
             raise ValueError(f"orbitals are not orthonormal: max deviation {err:.3e}")
 
@@ -143,10 +148,10 @@ def density(gamma: DensityMatrix) -> ScalarField:
     """Electron density rho(x) = sum_k n_k (|phi_k^up|^2 + |phi_k^dn|^2)."""
     cell = gamma.cell
     rho = np.zeros((cell.n,) * 3)
-    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
+    for n_k, phi in zip(gamma.occupations, gamma.block):
         if n_k == 0.0:
             continue
-        rho += n_k * np.sum(np.abs(phi.values) ** 2, axis=0)
+        rho += n_k * np.sum(np.abs(phi) ** 2, axis=0)
     return ScalarField(cell, rho)
 
 
@@ -195,7 +200,7 @@ def kinetic_terms(
 
 def _pair_terms(gamma: DensityMatrix) -> tuple[ScalarField, VectorField, VectorField, float, float]:
     """The pair route of :func:`kinetic_terms`: the spin pairs of real scalar rows at A = 0."""
-    cell, (rows, chi, _) = gamma.cell, gamma._pairs
+    cell, (rows, chi) = gamma.cell, gamma._pairs
     occ = np.append(gamma.occupations, 0.0)[: 2 * len(rows)]  # an odd last row has an empty partner
     w, d = occ[0::2] + occ[1::2], occ[0::2] - occ[1::2]
     live = w != 0.0
@@ -223,8 +228,9 @@ def _spinor_terms(
     """The spinor route of :func:`kinetic_terms`, in the potential samples ``a`` (``None`` for zero)."""
     cell = gamma.cell
     # rows sqrt(n_k) psi_k make each occupation-weighted sum one inner product
-    psi = np.array([np.sqrt(n_k) * phi.values for n_k, phi in zip(gamma.occupations, gamma.orbitals) if n_k != 0.0])
-    psi = psi.reshape((-1, 2) + (cell.n,) * 3)
+    live = gamma.occupations != 0.0
+    psi = gamma.block[live]
+    psi *= np.sqrt(gamma.occupations[live])[:, None, None, None, None]
     c = cell.to_spectral(psi)
     tmp, buf = np.zeros_like(c), np.empty_like(c[:, 0])  # tmp is reused, so the pass holds five blocks
     _add_nyquist(cell, c, tmp, cell.volume)
@@ -258,10 +264,10 @@ def magnetisation(gamma: DensityMatrix) -> VectorField:
     """Magnetisation m(x) = tr_C2(sigma gamma(x, x)), real 3-vector field."""
     cell = gamma.cell
     m = np.zeros((3,) + (cell.n,) * 3)
-    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
+    for n_k, phi in zip(gamma.occupations, gamma.block):
         if n_k == 0.0:
             continue
-        up, dn = phi.values
+        up, dn = phi
         cross = np.conjugate(up) * dn
         m[0] += 2.0 * n_k * cross.real
         m[1] += 2.0 * n_k * cross.imag

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -212,8 +213,8 @@ def _build(tp, val, path: str):
 
     Dataclasses come from mappings with no unknown keys, tuples from
     lists (of exactly the annotated length unless ``tuple[X, ...]``),
-    ``X | None`` also from null; a dataclass's own ``ValueError``
-    becomes a :class:`ConfigError` naming its path.
+    ``X | None`` also from null, numbers only if finite; a dataclass's
+    own ``ValueError`` becomes a :class:`ConfigError` naming its path.
     """
     where = path or "config"
     if is_dataclass(tp):
@@ -241,7 +242,13 @@ def _build(tp, val, path: str):
     # JSON true/false are not numbers, and a float field also takes an integer
     accepted = (int, float) if tp is float else tp
     if isinstance(val, accepted) and (tp is bool or not isinstance(val, bool)):
-        return tp(val)
+        try:
+            val = tp(val)
+        except OverflowError:  # an integer literal beyond the float range
+            val = math.inf if val > 0 else -math.inf
+        if tp is float and not math.isfinite(val):
+            raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+        return val
     raise ConfigError(f"{path}: expected {_TYPE_NAMES[tp]}, got {val!r}")
 
 
@@ -330,13 +337,14 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str, data: str | bytes) -> None:
+def _atomic_write(path: str, *parts: str | bytes | np.ndarray) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w" if isinstance(parts[0], str) else "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -395,7 +403,7 @@ class CheckpointData:
         try:
             gamma = DensityMatrix(orbitals, self.occupations, mode=self.mode)
         except ValueError as exc:
-            raise CheckpointError(f"checkpoint orbitals: {exc}") from exc
+            raise CheckpointError(f"checkpoint state: {exc}") from exc
         return gamma, MagneticPotential(VectorField(spec.cell, self.A_values), check_gauge=False)
 
 
@@ -410,15 +418,15 @@ def checkpoint_save(state: SCFState, path: str) -> None:
     (version 1) is the same without the digest.
     """
     cell = state.gamma.cell
-    n_orb = len(state.gamma.orbitals)
+    n_orb = len(state.gamma.block)
     header = _MAGIC + _HEADER.pack(
         _VERSIONS[_MAGIC], cell.L, cell.n, n_orb, _MODES[state.gamma.mode], state.spec.alpha,
         state.fermi_energy, state.iteration,
     ) + _system_digest(state.spec)
     occ = np.ascontiguousarray(state.gamma.occupations, dtype="<f8")
-    orbs = np.ascontiguousarray(np.stack([orb.values for orb in state.gamma.orbitals]), dtype="<c16")
+    orbs = np.ascontiguousarray(state.gamma.block, dtype="<c16")  # no copy on a little-endian host
     a_vals = np.ascontiguousarray(state.A.A.values, dtype="<f8")
-    _atomic_write(path, header + occ.tobytes() + orbs.tobytes() + a_vals.tobytes())
+    _atomic_write(path, header, occ, orbs, a_vals)
 
 
 def checkpoint_load(path: str) -> CheckpointData:

@@ -693,8 +693,6 @@ class _Iterate:
     rho: ScalarField
     A: MagneticPotential
     gamma: DensityMatrix
-    start: np.ndarray  # the eigensolver's own block (scalar or spinor rows): the next A = 0 warm start
-    orbitals: np.ndarray  # the spinor rows of gamma: the next A != 0 warm start
     levels: np.ndarray
     fermi: float
     rho_out: ScalarField
@@ -743,13 +741,13 @@ def scf_solve(
     filled state has ``J = 0`` exactly, for which the field solve and
     its residual return zero with no transform.  An evaluation at
     A != 0 solves the spinor block.
-    An evaluation at A = 0 is warm-started from the previous scalar
-    block, or from the real span of spinor rows (:func:`_spatial_rows`);
-    one at A != 0 from the previous spinor orbitals, the spin pairs of a
-    scalar block included.  A potential the field solve
-    could not tell from zero (see :func:`_snap_zero`) is replaced by an
-    exact zero: the warm start, each field-solve output and each mixed
-    potential.
+    Each evaluation is warm-started from the last accepted state, or from
+    ``initial``'s: at A = 0 from its scalar rows if it has them, else from
+    the real span of its spinor block (:func:`_spatial_rows`); at A != 0
+    from :attr:`~magrhf.density.DensityMatrix.block`.  A potential the
+    field solve could not tell from zero (see :func:`_snap_zero`) is
+    replaced by an exact zero: the warm start, each field-solve output and
+    each mixed potential.
     Only the accepted iterate of an outer iteration, not its retries,
     enters the iteration count, the energy history and the ledger.
     Non-convergence returns the last state flagged ``"not_converged"``;
@@ -772,12 +770,10 @@ def scf_solve(
 
     rho_in = _initial_density(spec, s_nuc)
     A_in = MagneticPotential.zero(cell)
-    X_warm = None
+    warm = None  # the state the next eigensolve starts from
     if initial is not None:
-        gamma0, A0 = initial
-        X = np.stack([orb.values for orb in gamma0.orbitals])
-        X_warm = (X, X)
-        vals = density(gamma0).values
+        warm, A0 = initial
+        vals = density(warm).values
         if vals.sum() > 0:
             rho_in = ScalarField(cell, vals * spec.N / (vals.sum() * cell.dV))
         if not config.pin_A:
@@ -786,7 +782,7 @@ def scf_solve(
     mixer = _AndersonMixer(config.mix, spec.N)
     schedule = _EigTolSchedule(eig_tol)
 
-    def evaluate(rho: ScalarField, A: MagneticPotential, warm: tuple[np.ndarray, np.ndarray] | None) -> _Iterate:
+    def evaluate(rho: ScalarField, A: MagneticPotential, warm: DensityMatrix | None) -> _Iterate:
         v_h, _ = hartree(rho)
         v_eff = ScalarField(cell, V.values + v_h.values)
         # H = h (x) 1 at A = 0: solve h once, on half the block
@@ -799,9 +795,9 @@ def scf_solve(
                 lambda coarse, v: lambda X: _kinetic(coarse, X, v), v_eff, c, b, schedule.tol, config.seed
             )
         elif spin_block:
-            X0 = warm[0] if warm[0].shape[1] == 1 else _spatial_rows(cell, warm[0], b)
+            X0 = warm._pairs[0] if warm._pairs is not None else _spatial_rows(cell, warm.block, b)
         else:  # the last spinor rows, which are the spin pairs of a scalar block
-            X0 = warm[1]
+            X0 = warm.block
         levels, start, _, _, h_orbitals = eigensolve(
             make_hamiltonian(cell, v_eff, A), cell, c, block=b, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X0, seed=config.seed, components=comps, real=spin_block,
@@ -817,10 +813,9 @@ def scf_solve(
         h_orbitals = h_orbitals[:rows].copy()
         if spin_block:
             gamma = DensityMatrix.from_spin_pairs(cell, start, chi, occ, mode=spec.mode)
-            orbitals = gamma._pairs[2]  # the spinor block its orbitals view
-        else:
+        else:  # the residual reads the rows from gamma's block, so the eigensolver's copy is freed
             gamma = DensityMatrix(tuple(SpinorField(cell, x) for x in start), occ, mode=spec.mode)
-            orbitals = start
+            start = gamma.block
         rho_out, j, J, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
         # the orbital residual at the output mean field, whose H differs from
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X
@@ -835,7 +830,7 @@ def scf_solve(
             res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
         return _Iterate(
-            rho, A, gamma, start, orbitals, levels, fermi, rho_out, A_out,
+            rho, A, gamma, levels, fermi, rho_out, A_out,
             energy=total_energy(gamma, A, spec, V=V, hartree_energy=hartree_out),
             residuals=(res_orb, res_field, _continuity_residual(rho_out, j, A)),
         )
@@ -859,7 +854,7 @@ def scf_solve(
 
     for it in range(1, config.max_iter + 1):
         try:
-            cand = evaluate(rho_in, A_in, X_warm)
+            cand = evaluate(rho_in, A_in, warm)
             if last is not None:
                 ceiling = energy_history[-1] + max(abs(energy_history[-1]), 1.0) * config.energy_slack_rel
                 theta = config.mix
@@ -867,7 +862,7 @@ def scf_solve(
                     theta = max(theta / 2.0, MIN_MIX)
                     # a retry is linear: the mixer would return the same step again
                     rho = ScalarField(cell, (1.0 - theta) * last.rho.values + theta * last.rho_out.values)
-                    cand = evaluate(rho, mix_A(last.A, last.A_out, theta, rho), X_warm)
+                    cand = evaluate(rho, mix_A(last.A, last.A_out, theta, rho), warm)
                 forced += int(cand.energy.total > ceiling)
         except EigensolveError:
             if last is None:
@@ -885,7 +880,7 @@ def scf_solve(
 
         rho_in = mixer.push(cand.rho, cand.rho_out)
         A_in = mix_A(cand.A, cand.A_out, config.mix, rho_in)
-        X_warm = (cand.start, cand.orbitals)
+        warm = cand.gamma
 
     return finish(last, regime_flag or "not_converged")
 

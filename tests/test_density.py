@@ -72,8 +72,26 @@ def test_density_matrix_validation():
         DensityMatrix(orbs, np.array([1.5, 0.2]))  # Pauli violation
     with pytest.raises(ValueError):
         DensityMatrix((orbs[0], orbs[0]), np.array([0.5, 0.5]))  # not orthonormal
+    # a NaN fails both ends of the range check, so it is refused on its own
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(orbs, np.array([1.0, bad]))
     gamma = DensityMatrix(orbs, np.array([1.0, 0.25]))
     assert abs(gamma.trace() - 1.25) < 1e-14
+
+
+def test_density_matrix_stores_one_read_only_block():
+    # the orbitals are stacked once; each orbital is a view of its row
+    rng = np.random.default_rng(0)
+    orbs = _orthonormal_orbitals(CELL8, rng, 3)
+    gamma = DensityMatrix(iter(orbs), np.array([1.0, 0.5, 0.0]))
+    assert gamma.block.shape == (3, 2) + (CELL8.n,) * 3 and not gamma.block.flags.writeable
+    with pytest.raises(ValueError):
+        gamma.block[0, 0, 0, 0, 0] = 1.0
+    for i, (phi, given) in enumerate(zip(gamma.orbitals, orbs)):
+        assert np.array_equal(phi.values, given.values)
+        assert np.shares_memory(phi.values, gamma.block[i])
+        assert not np.shares_memory(phi.values, given.values)
 
 
 def test_single_orbital_density_integrates_to_one():
@@ -302,6 +320,21 @@ def test_pair_route_transform_counts(transform_rows):
         kinetic_terms(gamma, A)
         components = 2 * int(np.count_nonzero(gamma.occupations))
         assert transform_rows == {"to_spectral": components, "from_spectral": 3 * components}
+
+
+def test_spin_pair_state_block_and_pairs():
+    # the block holds the spin pairs of the rows, as many as occupations; the
+    # state keeps the rows they come from, and its spin axis
+    from magrhf.density import _spin_pairs
+
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((CELL8.n**3, 4)))
+    rows = (q.T / np.sqrt(CELL8.dV)).reshape((4, 1) + (CELL8.n,) * 3)
+    chi = np.array([0.6, 0.8j])
+    gamma = DensityMatrix.from_spin_pairs(CELL8, rows, chi, np.array([1.0, 1.0, 1.0, 0.5, 0.25]))
+    kept, axis = gamma._pairs
+    assert np.array_equal(kept, rows[:3]) and np.shares_memory(kept, rows) and not kept.flags.writeable
+    assert np.array_equal(axis, chi)
+    assert np.array_equal(gamma.block, _spin_pairs(rows, 5, chi))
 
 
 def test_spin_pairs_need_real_rows():

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -72,6 +74,25 @@ def test_type_and_physics_validation():
         parse_config('{"system": {"nuclei": [{"R": [20.0, 6.0, 6.0]}]}}').system_spec()
     cfg = parse_config('{"scf": {"eig_block": null, "eig_tol": null}, "constants": {"C2": null}}')
     assert cfg == parse_config("{}")
+
+
+@pytest.mark.parametrize(
+    "key, doc",
+    [
+        ("system.alpha", '{"system": {"alpha": NaN}}'),
+        ("system.nuclei[0].z", '{"system": {"nuclei": [{"z": NaN}]}}'),
+        ("system.cell.L", '{"system": {"cell": {"L": Infinity}}}'),
+        ("zero_mode.dilation", '{"zero_mode": {"dilation": NaN}}'),
+        ("scf.energy_floor", '{"scf": {"energy_floor": NaN}}'),
+        ("system.N", '{"system": {"N": NaN}}'),
+        pytest.param("scf.energy_floor", '{"scf": {"energy_floor": -1%s}}' % ("0" * 400), id="beyond-float"),
+    ],
+)
+def test_non_finite_numbers_are_refused(key, doc):
+    # JSON's NaN and Infinity tokens parse, as does an integer beyond the float
+    # range; each is refused with its key path
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected a finite number, got -?(nan|inf)$"):
+        parse_config(doc)
 
 
 def _random_config(rng) -> RunConfig:
@@ -245,6 +266,36 @@ def test_checkpoint_cell_mismatch(tmp_path, small_state):
     data.orbitals[0] *= 2.0
     with pytest.raises(CheckpointError, match="orthonormal"):
         data.initial_for(spec)
+
+
+def test_checkpoint_with_nan_occupations_is_refused(tmp_path, small_state):
+    spec, state = small_state
+    path = os.path.join(tmp_path, "nan.ckpt")
+    checkpoint_save(state, path)
+    blob = bytearray(open(path, "rb").read())
+    at = 5 + struct.calcsize("<IdIIBddI") + 32  # the first occupation, after the header and digest
+    blob[at : at + 8] = struct.pack("<d", float("nan"))
+    open(path, "wb").write(bytes(blob))
+    data = checkpoint_load(path)
+    assert np.isnan(data.occupations[0])
+    with pytest.raises(CheckpointError, match="finite"):
+        data.initial_for(spec)
+
+
+def test_checkpoint_writes_the_block_in_place(tmp_path):
+    # the orbital block goes to the file from the state's own memory: no stack
+    # of the orbitals, and no bytes copy of it or of the whole file
+    spec = SystemSpec(Cell(12.0, 24), (Nucleus(1.0, (6.0,) * 3),), N=1.0, alpha=0.02)
+    state = scf_solve(spec, SCFConfig(tol=1e-6, max_iter=30, seed=0))
+    path = os.path.join(tmp_path, "h.ckpt")
+    tracemalloc.start()
+    try:
+        checkpoint_save(state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * state.gamma.block.nbytes
+    assert np.array_equal(checkpoint_load(path).orbitals, state.gamma.block)
 
 
 def test_checkpoint_reads_mrhf1(tmp_path, small_state):

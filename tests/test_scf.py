@@ -973,6 +973,80 @@ def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
     assert second["iterations"] < random[3]
 
 
+def _record_warm_starts(monkeypatch) -> tuple[list[tuple], list[np.ndarray]]:
+    """Record in order each eigensolve's ``("solve", X0, components)`` and each accepted
+    iterate's ``("accept", gamma, None)`` (its audit), and the blocks ``_spatial_rows`` reads."""
+    events, spatial = [], []
+    solve, audit, rows = scf.eigensolve, scf.kinetic_inequality_report, scf._spatial_rows
+
+    def recorded_solve(*args, X0=None, **kwargs):
+        events.append(("solve", X0, kwargs["components"]))
+        return solve(*args, X0=X0, **kwargs)
+
+    def recorded_audit(gamma, A):
+        events.append(("accept", gamma, None))
+        return audit(gamma, A)
+
+    def recorded_rows(cell, X, count):
+        spatial.append(X)
+        return rows(cell, X, count)
+
+    monkeypatch.setattr(scf, "eigensolve", recorded_solve)
+    monkeypatch.setattr(scf, "kinetic_inequality_report", recorded_audit)
+    monkeypatch.setattr(scf, "_spatial_rows", recorded_rows)
+    return events, spatial
+
+
+def _warm_solves(events: list[tuple]) -> list[tuple]:
+    """``(gamma, X0, components)`` of each eigensolve after an accepted iterate ``gamma``."""
+    out, gamma = [], None
+    for kind, obj, components in events:
+        if kind == "accept":
+            gamma = obj
+        elif gamma is not None:
+            out.append((gamma, obj, components))
+    return out
+
+
+def test_scf_zero_a_warm_start_reads_the_scalar_rows(monkeypatch):
+    # at A = 0 the last spin-pair state, of this run or of a previous one,
+    # gives its scalar rows as they are: no spinor block is taken apart
+    spec, cfg = _pinned_he()
+    events, spatial = _record_warm_starts(monkeypatch)
+    state = scf_solve(spec, replace(cfg, max_iter=3))
+    warm = _warm_solves(events)
+    assert len(warm) == 2 and all(c == 1 and X0 is gamma._pairs[0] for gamma, X0, c in warm)
+    events.clear()
+    scf_solve(spec, replace(cfg, max_iter=1), initial=(state.gamma, state.A))
+    assert events[0][1] is state.gamma._pairs[0]
+    assert not spatial
+
+
+def test_scf_zero_a_warm_start_from_a_checkpoint_takes_the_spatial_rows(monkeypatch, tmp_path):
+    # a checkpoint keeps spinors only: their real span gives the scalar rows
+    from magrhf.runio import checkpoint_load, checkpoint_save
+
+    spec, cfg = _pinned_he()
+    path = str(tmp_path / "he.ckpt")
+    checkpoint_save(scf_solve(spec, replace(cfg, tol=1e-6)), path)
+    gamma, A = checkpoint_load(path).initial_for(spec)
+    events, spatial = _record_warm_starts(monkeypatch)
+    scf_solve(spec, replace(cfg, max_iter=1), initial=(gamma, A))
+    assert len(spatial) == 1 and spatial[0] is gamma.block
+    assert events[0][1].shape[:2] == (3, 1)
+
+
+def test_scf_magnetic_warm_start_reads_the_last_block(monkeypatch):
+    # at A != 0 every solve starts from the block of the last accepted state:
+    # the spin pairs of a scalar solve, then the spinors of a magnetic one
+    spec = replace(_unpolarised_h(), alpha=0.2)
+    events, _ = _record_warm_starts(monkeypatch)
+    scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=4, seed=0))
+    warm = [(gamma, X0) for gamma, X0, c in _warm_solves(events) if c == 2]
+    assert warm and all(X0 is gamma.block for gamma, X0 in warm)
+    assert {gamma._pairs is None for gamma, _ in warm} == {True, False}
+
+
 def test_spin_pairs_of_real_rows_are_complex_spinors():
     # along chi = up the pairs are phi (x) up and phi (x) down
     X = np.random.default_rng(0).standard_normal((2, 1, 4, 4, 4))
