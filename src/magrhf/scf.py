@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.linalg.blas import get_blas_funcs
 
 from .density import (
@@ -212,6 +211,15 @@ def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> tuple[int, np.ndarr
     return k, _whiten(g, 1e-10)
 
 
+def _ritz(h: np.ndarray, levels: np.ndarray, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part of ``h``, so finite Ritz values and residuals.  A non-finite
+    ``h``, from an apply that returned NaN or inf, raises :class:`EigensolveError` with the last
+    finite step's ``levels`` and ``rel``."""
+    if not np.isfinite(h).all():
+        raise EigensolveError("the Hamiltonian apply returned non-finite values", np.real(levels), rel)
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
+
+
 def eigensolve(
     apply_h,
     cell: Cell,
@@ -235,15 +243,21 @@ def eigensolve(
     :class:`EigensolveError` carrying the best residuals is raised.
 
     The preconditioner is the shifted free-particle resolvent
-    ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to each residual of
-    an unconverged pair (soft locking).  The basis ``S = [X | P | W]``
+    ``(|k|^2 / 2 - theta_i + shift)^(-1)`` applied to the residual of each
+    unconverged pair among the first ``count`` (soft locking).  The guard
+    rows past ``count`` spawn no ``W`` row: they stay in ``[X | P]`` and
+    improve through their conjugate directions and the Rayleigh-Ritz step
+    alone, so their levels are Ritz values that need not have converged.
+    An apply that returns NaN or inf raises :class:`EigensolveError`.
+    The basis ``S = [X | P | W]``
     and its image ``HS = [HX | HP | HW]`` are contiguous row blocks of
     two preallocated (3 block, components * n^3) buffers each; the
     slots are as wide as their blocks are.  ``W`` is projected against
     ``[X | P]`` (a second pass only where the first removed more than
     half of a row, "twice is enough") and whitened in the small space,
-    so ``S T`` is orthonormal for a small matrix ``T``.  One ``zgemm``
-    gives the Rayleigh-Ritz matrix ``T^H S^H HS T``.  Its Ritz vectors
+    so ``S T`` is orthonormal for ``T = diag(1, Tw)``.  One ``zgemm``
+    gives ``S^H HS``, and ``Tw`` turns its W rows and columns into the
+    Rayleigh-Ritz matrix ``T^H S^H HS T``.  Its Ritz vectors
     ``Y`` and the conjugate directions ``Z``, the P and W part of ``Y``
     made orthonormal to ``Y`` in the small space (Hetmaniuk & Lehoucq,
     J. Comput. Phys. 218 (2006) 324), give the next ``[X | P]`` and its
@@ -288,8 +302,8 @@ def eigensolve(
         return apply_h(Y.reshape((-1,) + field_shape)).reshape(Y.shape)
 
     HX = apply(X)
-    h = _gram(cell, X, HX)
-    theta, U = np.linalg.eigh(0.5 * (h + h.conj().T))
+    rel = np.full(b, np.inf)
+    theta, U = _ritz(_gram(cell, X, HX), np.full(b, np.nan), rel)
     # two copies of the basis and of its H image: a step reads one and writes the next [X | P] into the other
     S = [np.empty((3 * b, shape[1]), dtype=dtype) for _ in range(2)]
     HS = [np.empty_like(S[0]) for _ in range(2)]
@@ -302,7 +316,6 @@ def eigensolve(
         (cell.to_half_spectral, cell.from_half_spectral, cell.k2_half) if real
         else (cell.to_spectral, cell.from_spectral, cell.k2_full)
     )
-    rel = np.full(b, np.inf)
 
     for it in range(1, max_iter + 1):
         S0, HS0 = S[(it - 1) % 2], HS[(it - 1) % 2]
@@ -315,12 +328,11 @@ def eigensolve(
             # copies, so the 3-block buffers are not kept alive by the result
             return theta, X.reshape((-1,) + field_shape).copy(), rel, it, HX.reshape((-1,) + field_shape).copy()
 
-        # preconditioned residuals of the unconverged pairs only
-        # (soft locking: converged vectors stay in the basis but stop
-        # spawning search directions)
+        # preconditioned residuals of the unconverged wanted pairs only: converged
+        # pairs (soft locking) and the guard rows past count stay in the basis but
+        # spawn no search direction.  Some pair below count is unconverged, so W is not empty
         active = rel > 0.25 * tol
-        if not np.any(active):
-            active[:] = True
+        active[count:] = False
         kw = int(active.sum())
         if kw < kx:
             R[:kw] = R[active]
@@ -330,19 +342,19 @@ def eigensolve(
         chat /= 0.5 * k2 + shift[:, None, None, None, None]
         W[...] = from_spectral(chat).reshape(W.shape)
         del chat  # not alive during the apply
-        kw, Tw = _complement(cell, S0[:w0], W)
+        k, Tw = _complement(cell, S0[:w0], W)
         if not Tw.shape[1]:
             # W lies in span[X | P] to working precision: restart it from random directions
-            W = S0[w0:w0 + b]
-            W[...] = random_rows(b)
-            kw, Tw = _complement(cell, S0[:w0], W)
-        m = w0 + kw
+            W[...] = random_rows(kw)
+            k, Tw = _complement(cell, S0[:w0], W)
+        m = w0 + k
         HS0[w0:m] = apply(S0[w0:m])
 
-        # Rayleigh-Ritz over the orthonormal basis S T, T = diag(1, Tw)
-        T = block_diag(np.eye(w0), Tw)
-        h = T.conj().T @ _gram(cell, S0[:m], HS0[:m]) @ T
-        vals, Y = np.linalg.eigh(0.5 * (h + h.conj().T))
+        # Rayleigh-Ritz over the orthonormal basis S T, T = diag(1, Tw): G = S^H HS
+        # with its W columns and then its W rows taken through Tw
+        G = _gram(cell, S0[:m], HS0[:m])
+        GT = np.concatenate([G[:, :w0], G[:, w0:] @ Tw], axis=1)
+        vals, Y = _ritz(np.concatenate([GT[:w0], Tw.conj().T @ GT[w0:]]), theta, rel)
         theta, Y = vals[:b], Y[:, :b]
         # conjugate directions: the P and W part of the Ritz vectors, orthonormal to them
         Z = Y.copy()
@@ -350,7 +362,8 @@ def eigensolve(
         for _ in range(2):
             Z -= Y @ (Y.conj().T @ Z)
         Z = Z @ _whiten(Z.conj().T @ Z, 1e-8)
-        C = T @ np.concatenate([Y, Z], axis=1)
+        YZ = np.concatenate([Y, Z], axis=1)
+        C = np.concatenate([YZ[:w0], Tw @ YZ[w0:]])  # T [Y Z]
         kx, kp = Y.shape[1], Z.shape[1]
         _lincomb(S[it % 2][:kx + kp], C, S0[:m])
         _lincomb(HS[it % 2][:kx + kp], C, HS0[:m])
@@ -722,7 +735,8 @@ def scf_solve(
     ``count = min(ceil(N) + 1, block - 1)`` pairs, the occupied levels and
     the first above, whose gap sets the Fermi energy.  The default block
     ``ceil(N) + 3`` then keeps a guard row in the scalar solve below and
-    two in the spinor solve, for every ``ceil(N)``.
+    two in the spinor solve, for every ``ceil(N)``; the eigensolver does
+    not converge them.
     An evaluation at A = 0 solves the scalar ``h`` of ``H = h (x) 1`` on
     ``ceil(block/2)`` real rows for ``ceil(count/2)`` pairs (``h`` is real
     symmetric, so float64 arithmetic throughout:

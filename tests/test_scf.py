@@ -135,10 +135,10 @@ def test_eigensolve_real_preconditioner_takes_the_half_spectrum(transform_rows):
     def dense(X):
         return (X.reshape(len(X), -1) @ H.T).reshape(X.shape)
 
-    # one iteration preconditions the whole random block of 4 rows
+    # one iteration preconditions the 3 wanted rows of the random block of 4, not its guard row
     with pytest.raises(EigensolveError):
         eigensolve(dense, cell, 3, block=4, tol=1e-10, seed=0, max_iter=1, components=1, real=True)
-    assert transform_rows == {"to_half_spectral": 4, "from_half_spectral": 4}
+    assert transform_rows == {"to_half_spectral": 3, "from_half_spectral": 3}
     transform_rows.clear()
     *_, h_orbs = eigensolve(dense, cell, 3, block=4, tol=1e-10, seed=0, max_iter=600, components=1, real=True)
     assert h_orbs.dtype == np.float64
@@ -234,7 +234,7 @@ def test_eigensolve_restart_keeps_the_basis_orthonormal(monkeypatch):
 @pytest.mark.parametrize("components", [1, 2])
 def test_eigensolve_soft_locking_narrows_w(components):
     # early pairs converge first and stop spawning search directions, so
-    # some W slots hold fewer rows than X
+    # some W slots hold fewer rows than the 4 wanted pairs
     cell, apply_h, ref = _dense_problem(components, 4, seed=5)
     sizes = []
 
@@ -244,16 +244,17 @@ def test_eigensolve_soft_locking_narrows_w(components):
 
     levels, orbs, _, _, h_orbs = eigensolve(recorded, cell, 4, block=8, tol=1e-10, seed=1, max_iter=600,
                                             components=components)
-    assert sizes[0] == 8 and min(sizes[1:]) < 8
+    assert sizes[0] == 8 and min(sizes[1:]) < 4
     _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 4)
 
 
 @pytest.mark.parametrize("components", [1, 2])
 def test_eigensolve_rank_loss_after_whitening(components, monkeypatch):
-    # a block of 40 (80) in a space of 64 (128) dimensions: W has only 24
-    # (48) directions outside X, and P only as many outside the Ritz vectors
+    # a block of 40 (80) in a space of 64 (128) dimensions: the 36 (72) rows
+    # of W, one per wanted pair, have only 24 (48) directions outside X, and P
+    # only as many outside the Ritz vectors
     cell, apply_h, ref = _dense_problem(components, 4, seed=7)
-    block = 40 * components
+    block, count = 40 * components, 36 * components
     original, widths = scf._whiten, {}
 
     def whiten(g, rel_tol):
@@ -262,12 +263,82 @@ def test_eigensolve_rank_loss_after_whitening(components, monkeypatch):
         return T
 
     monkeypatch.setattr(scf, "_whiten", whiten)
-    levels, orbs, _, _, h_orbs = eigensolve(apply_h, cell, 3, block=block, tol=1e-11, seed=0, max_iter=600,
+    levels, orbs, _, _, h_orbs = eigensolve(apply_h, cell, count, block=block, tol=1e-11, seed=0, max_iter=600,
                                             components=components)
     # W (whitened at 1e-10) and P (at 1e-8) each lost rank in some step
     assert any(kept < rows for rows, kept in widths[1e-10])
     assert any(kept < rows for rows, kept in widths[1e-8])
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, count)
+
+
+@pytest.mark.parametrize("kind", ["real", "scalar", "spinor"])
+def test_eigensolve_w_holds_at_most_count_rows(kind):
+    # only the first count pairs spawn a preconditioned residual: after the
+    # start block, every apply is of a W slot of at most count rows, and the
+    # guard rows still reach the lowest levels through P and Rayleigh-Ritz
+    if kind == "real":
+        cell, apply_h, H = _real_scalar_problem(6, seed=4)
+        ref = np.linalg.eigvalsh(H)
+    else:
+        cell, apply_h, ref = _dense_problem(1 if kind == "scalar" else 2, 4, seed=5)
+    sizes = []
+
+    def recorded(X):
+        sizes.append(len(X))
+        return apply_h(X)
+
+    levels, orbs, res, _, h_orbs = eigensolve(recorded, cell, 3, block=6, tol=1e-10, seed=1, max_iter=600,
+                                            components=2 if kind == "spinor" else 1, real=kind == "real")
+    assert sizes[0] == 6 and len(sizes) > 2 and max(sizes[1:]) <= 3
+    assert np.all(res[:3] <= 1e-10)
     _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 3)
+
+
+@pytest.mark.parametrize("case", ["free-scalar", "free-spinor", "well-real"])
+def test_eigensolve_block_edge_inside_a_degenerate_shell(case):
+    # count = 3 in a block of 4 whose edge cuts a degenerate shell: the free
+    # scalar shell of 6 plane waves at k1 = (2 pi / L)^2 / 2 (levels 0, k1, k1 | k1),
+    # the free spinor shell after the two constant spinors (0, 0, k1 | k1), and the
+    # threefold p shell of a centred cubic well (1s, p, p | p).  The guard row
+    # gets no W, yet the wanted levels match the dense spectrum to the tolerance
+    n, tol = 6, 1e-10
+    cell = Cell(6.0, n)
+    if case == "well-real":
+        dx, dy, dz = cell.displacements((3.0, 3.0, 3.0))
+        v = ScalarField(cell, -4.0 * np.exp(-0.5 * (dx * dx + dy * dy + dz * dz)))
+        components, apply_h = 1, make_hamiltonian(cell, v, None)
+    else:
+        components, apply_h = (1 if case == "free-scalar" else 2), make_hamiltonian(cell, None, None)
+    dim = components * n**3
+    dense = apply_h(np.eye(dim, dtype=complex).reshape((dim, components) + (n,) * 3)).reshape(dim, dim).T
+    ref = np.linalg.eigvalsh(dense)
+    # the block edge sits inside the shell: the fourth level equals the third
+    assert abs(ref[3] - ref[2]) <= 1e-12 * max(1.0, abs(ref[2]))
+    levels, _, res, _, _ = eigensolve(apply_h, cell, 3, block=4, tol=tol, seed=0, max_iter=600,
+                                      components=components, real=case == "well-real")
+    assert np.all(res[:3] <= tol)
+    assert np.all(np.abs(levels[:3] - ref[:3]) <= tol * np.maximum(1.0, np.abs(ref[:3])))
+
+
+@pytest.mark.parametrize("first_nan", [1, 3])
+def test_eigensolve_non_finite_apply_raises(first_nan):
+    # an apply that returns NaN, in the start block (call 1) or in a step
+    # (call 3), raises EigensolveError with the residuals, not numpy's LinAlgError
+    cell = Cell(6.0, 8)
+    apply_h = make_hamiltonian(cell, ScalarField(cell, np.random.default_rng(2).standard_normal((8,) * 3)), None)
+    calls = []
+
+    def failing(X):
+        calls.append(1)
+        out = apply_h(X)
+        return out * np.nan if len(calls) >= first_nan else out
+
+    with pytest.raises(EigensolveError, match="non-finite") as err:
+        eigensolve(failing, cell, 2, block=4, tol=1e-10, seed=0, max_iter=600)
+    assert len(calls) == first_nan
+    assert err.value.residuals.shape == (4,) and err.value.levels.shape == (4,)
+    if first_nan > 1:  # the residuals of the last finite step
+        assert np.isfinite(err.value.residuals).all() and np.all(err.value.residuals[:2] > 1e-10)
 
 
 def test_eigensolve_fills_a_dependent_warm_start():
@@ -1315,6 +1386,67 @@ def test_scf_eigensolver_failure_on_first_iterate_raises(monkeypatch):
     _fail_eigensolve_on(monkeypatch, 1)
     with pytest.raises(EigensolveError, match="forced"):
         scf_solve(_unpolarised_h(), SCFConfig(seed=0))
+
+
+@pytest.mark.parametrize("first_nan", [1, 3])
+def test_scf_non_finite_apply_after_first_iterate_is_flagged(monkeypatch, first_nan):
+    # the second Hamiltonian returns NaN from its first call (its start block)
+    # or its third (a step): the eigensolve of iteration 2 raises
+    # EigensolveError, and iteration 1 comes back flagged, not in a traceback
+    builds = []
+    original = scf.make_hamiltonian
+
+    def build(*args):
+        builds.append(1)
+        apply_h, calls = original(*args), []
+
+        def failing(X):
+            calls.append(1)
+            return apply_h(X) * (np.nan if len(calls) >= first_nan else 1.0)
+
+        return apply_h if len(builds) == 1 else failing
+
+    monkeypatch.setattr(scf, "make_hamiltonian", build)
+    state = scf_solve(_unpolarised_h(), SCFConfig(tol=1e-10, seed=0))
+    assert len(builds) == 2
+    assert state.flag == "eigensolver_failed" and not state.converged
+    assert state.iteration == 1 and np.isfinite(state.energy.total)
+
+
+@pytest.mark.parametrize("path", ["zero_A", "nonzero_A", "spinless"])
+def test_warm_started_solves_converge_the_levels_the_fill_reads(monkeypatch, path):
+    # every eigensolve after the first starts from the last accepted rows (the
+    # scalar ones at A = 0, the spinor block of Li once its zero-threshold fill
+    # polarises, the oracle's real rows); its guard rows get no W, yet the levels
+    # the fill reads reach the tolerance and match a solve of twice the block
+    import magrhf.spinless as spinless
+
+    module = spinless if path == "spinless" else scf
+    calls = []
+    original = module.eigensolve
+
+    def recorded(apply_h, cell, count, **kwargs):
+        out = original(apply_h, cell, count, **kwargs)
+        calls.append((apply_h, cell, count, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, "eigensolve", recorded)
+    cell = Cell(8.0, 12)
+    if path == "spinless":
+        spec = SystemSpec(cell, (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.02)
+        assert spinless.scf_solve_spinless(spec, tol=1e-9).converged
+    elif path == "zero_A":
+        assert scf_solve(_unpolarised_h(), SCFConfig(tol=1e-8, seed=0)).converged
+    else:
+        spec = SystemSpec(cell, (Nucleus(3.0, (4.0,) * 3),), N=3.0, alpha=0.2)
+        scf_solve(spec, SCFConfig(tol=1e-7, deg_threshold=0.0, max_iter=4, seed=0))
+        assert [kwargs["components"] for *_, kwargs, _ in calls[1:]] == [2, 2, 2]
+    assert len(calls) > 2
+    for apply_h, cell_, count, kwargs, (levels, _, res, _, _) in calls[1:]:
+        assert kwargs["X0"] is not None and kwargs["block"] > count
+        assert np.all(res[:count] <= kwargs["tol"])
+        wide = eigensolve(apply_h, cell_, count, **{**kwargs, "X0": None, "block": 2 * kwargs["block"]})
+        assert np.abs(levels[:count] - wide[0][:count]).max() <= kwargs["tol"]
 
 
 def test_scf_solve_rejects_block_below_occupied_levels():
