@@ -110,7 +110,7 @@ def _run_scf(cfg: RunConfig, checkpoint: str | None, *, mode: str) -> dict:
         "energy": {k: tagged(v, "hartree") for k, v in state.energy.as_dict().items()},
         "fermi_energy": tagged(state.fermi_energy, "hartree"),
         "iterations": state.iteration,
-        "levels": [tagged(v, "hartree") for v in np.asarray(state.levels).tolist()],
+        "levels": [tagged(v, "hartree") for v in np.asarray(state.levels)[:state.converged_levels].tolist()],
         "occupations": {"values": np.asarray(state.gamma.occupations).tolist(),
                         "unit": "dimensionless"},
         "trace": tagged(state.gamma.trace(), "dimensionless"),

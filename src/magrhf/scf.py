@@ -185,15 +185,16 @@ def _whiten(g: np.ndarray, rel_tol: float) -> np.ndarray:
     return s[:, None] * vecs[:, keep] / np.sqrt(vals[keep])
 
 
-def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> tuple[int, np.ndarray]:
-    """Project ``span(B)`` (orthonormal rows) out of the rows of ``W`` in place.
+def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> int:
+    """Project ``span(B)`` (orthonormal rows) out of the rows of ``W`` and make them
+    orthonormal, in place.
 
     Twice is enough (Kahan, in Parlett, The Symmetric Eigenvalue Problem):
     a second pass runs only when the first removed more than half of a
     row's norm, and a row that loses more than half again lies in
-    ``span(B)`` to working precision and is dropped.  The ``k`` rows
-    kept move to the top of ``W``; returns ``k`` and the ``T`` that
-    whitens them (:func:`_whiten` at 1e-10).
+    ``span(B)`` to working precision and is dropped.  The rows kept are
+    whitened (:func:`_whiten` at 1e-10) into the top rows of ``W``;
+    returns their number, which may be 0.
     """
     before = _row_norms(cell, W)
     for _ in range(2):
@@ -208,7 +209,9 @@ def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> tuple[int, np.ndarr
     if k < len(W):
         W[:k] = W[keep]
         g = g[np.ix_(keep, keep)]
-    return k, _whiten(g, 1e-10)
+    T = _whiten(g, 1e-10)
+    W[:T.shape[1]] = T.T @ W[:k]
+    return T.shape[1]
 
 
 def _ritz(h: np.ndarray, levels: np.ndarray, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +257,13 @@ def eigensolve(
     two preallocated (3 block, components * n^3) buffers each; the
     slots are as wide as their blocks are.  ``W`` is projected against
     ``[X | P]`` (a second pass only where the first removed more than
-    half of a row, "twice is enough") and whitened in the small space,
-    so ``S T`` is orthonormal for ``T = diag(1, Tw)``.  One ``zgemm``
-    gives ``S^H HS``, and ``Tw`` turns its W rows and columns into the
-    Rayleigh-Ritz matrix ``T^H S^H HS T``.  Its Ritz vectors
+    half of a row, "twice is enough") and whitened into orthonormal rows
+    before its apply, so ``S`` is orthonormal and one ``zgemm`` gives the
+    Rayleigh-Ritz matrix ``S^H HS``.  Its Ritz vectors
     ``Y`` and the conjugate directions ``Z``, the P and W part of ``Y``
     made orthonormal to ``Y`` in the small space (Hetmaniuk & Lehoucq,
-    J. Comput. Phys. 218 (2006) 324), give the next ``[X | P]`` and its
+    J. Comput. Phys. 218 (2006) 324) by two passes of projection and
+    whitening, give the next ``[X | P]`` and its
     H image by one ``zgemm`` each over ``S`` and ``HS`` into the other
     buffer: the implicit update of Knyazev (SIAM J. Sci. Comput. 23
     (2001) 517).  ``X`` leaves each step as Ritz vectors, so it is not
@@ -342,28 +345,26 @@ def eigensolve(
         chat /= 0.5 * k2 + shift[:, None, None, None, None]
         W[...] = from_spectral(chat).reshape(W.shape)
         del chat  # not alive during the apply
-        k, Tw = _complement(cell, S0[:w0], W)
-        if not Tw.shape[1]:
+        kw = _complement(cell, S0[:w0], W)
+        if not kw:
             # W lies in span[X | P] to working precision: restart it from random directions
-            W[...] = random_rows(kw)
-            k, Tw = _complement(cell, S0[:w0], W)
-        m = w0 + k
+            W[...] = random_rows(len(W))
+            kw = _complement(cell, S0[:w0], W)
+        m = w0 + kw
         HS0[w0:m] = apply(S0[w0:m])
 
-        # Rayleigh-Ritz over the orthonormal basis S T, T = diag(1, Tw): G = S^H HS
-        # with its W columns and then its W rows taken through Tw
-        G = _gram(cell, S0[:m], HS0[:m])
-        GT = np.concatenate([G[:, :w0], G[:, w0:] @ Tw], axis=1)
-        vals, Y = _ritz(np.concatenate([GT[:w0], Tw.conj().T @ GT[w0:]]), theta, rel)
+        # Rayleigh-Ritz over the orthonormal basis S
+        vals, Y = _ritz(_gram(cell, S0[:m], HS0[:m]), theta, rel)
         theta, Y = vals[:b], Y[:, :b]
-        # conjugate directions: the P and W part of the Ritz vectors, orthonormal to them
+        # conjugate directions: the P and W part of the Ritz vectors, made orthonormal to
+        # them twice, since whitening a nearly dependent Z magnifies what one projection
+        # leaves of Y, and [X | P] would drift from orthonormality step by step
         Z = Y.copy()
         Z[:kx] = 0.0
         for _ in range(2):
             Z -= Y @ (Y.conj().T @ Z)
-        Z = Z @ _whiten(Z.conj().T @ Z, 1e-8)
-        YZ = np.concatenate([Y, Z], axis=1)
-        C = np.concatenate([YZ[:w0], Tw @ YZ[w0:]])  # T [Y Z]
+            Z = Z @ _whiten(Z.conj().T @ Z, 1e-8)
+        C = np.concatenate([Y, Z], axis=1)
         kx, kp = Y.shape[1], Z.shape[1]
         _lincomb(S[it % 2][:kx + kp], C, S0[:m])
         _lincomb(HS[it % 2][:kx + kp], C, HS0[:m])
@@ -606,6 +607,9 @@ class SCFState:
     residual_continuity: float
     converged: bool
     flag: str | None = None
+    #: the leading entries of ``levels`` the eigensolver converged, those the fill read;
+    #: past them lie the guard rows' unconverged Ritz values (None: all of them)
+    converged_levels: int | None = None
     energy_history: tuple[float, ...] = ()
     inequality_ledger: tuple[dict, ...] = ()
     forced_energy_increases: int = 0
@@ -707,6 +711,7 @@ class _Iterate:
     A: MagneticPotential
     gamma: DensityMatrix
     levels: np.ndarray
+    converged_levels: int
     fermi: float
     rho_out: ScalarField
     A_out: MagneticPotential
@@ -736,7 +741,8 @@ def scf_solve(
     the first above, whose gap sets the Fermi energy.  The default block
     ``ceil(N) + 3`` then keeps a guard row in the scalar solve below and
     two in the spinor solve, for every ``ceil(N)``; the eigensolver does
-    not converge them.
+    not converge them, so the fill reads the converged levels only
+    (``converged_levels`` of the state) and the guard rows stay empty.
     An evaluation at A = 0 solves the scalar ``h`` of ``H = h (x) 1`` on
     ``ceil(block/2)`` real rows for ``ceil(count/2)`` pairs (``h`` is real
     symmetric, so float64 arithmetic throughout:
@@ -818,7 +824,10 @@ def scf_solve(
         )
         if spin_block:  # phi (x) chi and phi (x) chi_perp, truncated to the rows a spinor solve returns
             levels = np.repeat(levels, 2)[:block]
-        occ, fermi = fermi_fill(levels, spec.N, config.deg_threshold)
+        # the fill reads the converged levels only: past them lie the guard rows' Ritz values
+        k = 2 * c if spin_block else c
+        occ = np.zeros(len(levels))
+        occ[:k], fermi = fermi_fill(levels[:k], spec.N, config.deg_threshold)
         # the filled rows are a prefix; only they enter the residual, so H X keeps only them.
         # At A = 0 a pair's residual is its scalar row's, ||(H - t) phi (x) chi|| = ||(h - t) phi||,
         # and the fill, which never rises along the levels, takes phi (x) chi first
@@ -844,7 +853,7 @@ def scf_solve(
             res_field = _field_equation_residual(A, A_out, rho_out, spec.alpha)
             A_out = _snap_zero(A_out, rho_out, spec.alpha)
         return _Iterate(
-            rho, A, gamma, levels, fermi, rho_out, A_out,
+            rho, A, gamma, levels, k, fermi, rho_out, A_out,
             energy=total_energy(gamma, A, spec, V=V, hartree_energy=hartree_out),
             residuals=(res_orb, res_field, _continuity_residual(rho_out, j, A)),
         )
@@ -862,7 +871,8 @@ def scf_solve(
     def finish(it: _Iterate, flag: str | None, converged: bool = False) -> SCFState:
         return SCFState(
             spec, it.gamma, it.A, it.energy, it.levels, it.fermi, len(energy_history), *it.residuals,
-            converged=converged, flag=flag, energy_history=tuple(energy_history),
+            converged=converged, flag=flag, converged_levels=it.converged_levels,
+            energy_history=tuple(energy_history),
             inequality_ledger=tuple(ledger), forced_energy_increases=forced,
         )
 

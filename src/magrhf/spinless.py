@@ -136,7 +136,9 @@ def scf_solve_spinless(
             _scalar_hamiltonian(cell, v_eff), cell, n_spatial, block=n_spatial + 2, tol=schedule.tol,
             max_iter=EIG_MAXITER, X0=X_warm, seed=seed, components=1, real=True,
         )
-        occ = _fill_capacity2(levels, spec.N)
+        # the filling reads the converged levels only: past them lie the guard rows' Ritz values
+        occ = np.zeros_like(levels)
+        occ[:n_spatial] = _fill_capacity2(levels[:n_spatial], spec.N)
         rho_out = np.zeros((cell.n,) * 3)
         for f, orb in zip(occ, orbitals):
             rho_out += f * orb[0] ** 2

@@ -52,6 +52,8 @@ def test_scf_subcommand_and_checkpoint(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert record["run"]["converged"] is True
     assert record["results"]["energy"]["total"]["unit"] == "hartree"
+    # the levels the fill read: 1s twice, not the guard rows' unconverged ones
+    assert len(record["results"]["levels"]) == 2 and len(record["results"]["occupations"]["values"]) == 4
     assert os.path.exists(ckpt)
     assert checkpoint_load(ckpt).alpha == BASE["system"]["alpha"]
     # warm restart from the converged checkpoint finishes in <= 2 iterations

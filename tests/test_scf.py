@@ -271,6 +271,31 @@ def test_eigensolve_rank_loss_after_whitening(components, monkeypatch):
     _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, count)
 
 
+@pytest.mark.parametrize("components", [1, 2])
+def test_eigensolve_long_solve_keeps_x_and_p_orthonormal(components, monkeypatch):
+    # 3 (6) wanted pairs in a block of 40 (80) in a space of 64 (128) dimensions:
+    # W holds at most 3 (6) rows, so the solve takes some 18 steps, and every
+    # [X | P] the implicit update writes stays orthonormal.  A single whitening of
+    # the conjugate directions lets its Gram error grow to 1e-5 here, and the
+    # 1-component solve then never reaches its tolerance in 600 steps
+    cell, apply_h, ref = _dense_problem(components, 4, seed=7)
+    original, errors, written = scf._lincomb, [], []
+
+    def lincomb(Y, C, X, alpha=1.0, beta=0.0):
+        original(Y, C, X, alpha, beta)
+        if beta == 0.0:  # the next [X | P], then its H image
+            written.append(Y)
+            if len(written) % 2:
+                errors.append(np.abs(scf._gram(cell, Y, Y) - np.eye(len(Y))).max())
+
+    monkeypatch.setattr(scf, "_lincomb", lincomb)
+    levels, orbs, _, it, h_orbs = eigensolve(apply_h, cell, 3 * components, block=40 * components, tol=1e-11,
+                                             seed=0, max_iter=600, components=components)
+    assert it > 10 and len(errors) == it  # the start block and one [X | P] per step
+    assert max(errors) <= 1e-10
+    _assert_eigenblock(cell, apply_h, levels, orbs, h_orbs, ref, 3 * components)
+
+
 @pytest.mark.parametrize("kind", ["real", "scalar", "spinor"])
 def test_eigensolve_w_holds_at_most_count_rows(kind):
     # only the first count pairs spawn a preconditioned residual: after the
@@ -940,18 +965,18 @@ def test_scf_cold_start_falls_back_when_the_coarse_solve_fails(monkeypatch):
     assert calls[0][0] is None
 
 
-def _record_solves(monkeypatch, name: str) -> list[dict]:
-    """Patch ``scf.<name>`` to record the arguments, start block and result of each call."""
+def _record_solves(monkeypatch, name: str, module=scf) -> list[dict]:
+    """Patch ``module.<name>`` to record the arguments, start block and result of each call."""
     calls: list[dict] = []
-    original = getattr(scf, name)
+    original = getattr(module, name)
 
     def recorded(*args, X0=None, **kwargs):
         out = original(*args, X0=X0, **kwargs)
         calls.append({"args": args, "kwargs": kwargs, "X0": X0, "levels": out[0], "orbitals": out[1],
-                      "iterations": out[3]})
+                      "residuals": out[2], "iterations": out[3]})
         return out
 
-    monkeypatch.setattr(scf, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -1413,42 +1438,6 @@ def test_scf_non_finite_apply_after_first_iterate_is_flagged(monkeypatch, first_
     assert state.iteration == 1 and np.isfinite(state.energy.total)
 
 
-@pytest.mark.parametrize("path", ["zero_A", "nonzero_A", "spinless"])
-def test_warm_started_solves_converge_the_levels_the_fill_reads(monkeypatch, path):
-    # every eigensolve after the first starts from the last accepted rows (the
-    # scalar ones at A = 0, the spinor block of Li once its zero-threshold fill
-    # polarises, the oracle's real rows); its guard rows get no W, yet the levels
-    # the fill reads reach the tolerance and match a solve of twice the block
-    import magrhf.spinless as spinless
-
-    module = spinless if path == "spinless" else scf
-    calls = []
-    original = module.eigensolve
-
-    def recorded(apply_h, cell, count, **kwargs):
-        out = original(apply_h, cell, count, **kwargs)
-        calls.append((apply_h, cell, count, kwargs, out))
-        return out
-
-    monkeypatch.setattr(module, "eigensolve", recorded)
-    cell = Cell(8.0, 12)
-    if path == "spinless":
-        spec = SystemSpec(cell, (Nucleus(2.0, (4.0,) * 3),), N=2.0, alpha=0.02)
-        assert spinless.scf_solve_spinless(spec, tol=1e-9).converged
-    elif path == "zero_A":
-        assert scf_solve(_unpolarised_h(), SCFConfig(tol=1e-8, seed=0)).converged
-    else:
-        spec = SystemSpec(cell, (Nucleus(3.0, (4.0,) * 3),), N=3.0, alpha=0.2)
-        scf_solve(spec, SCFConfig(tol=1e-7, deg_threshold=0.0, max_iter=4, seed=0))
-        assert [kwargs["components"] for *_, kwargs, _ in calls[1:]] == [2, 2, 2]
-    assert len(calls) > 2
-    for apply_h, cell_, count, kwargs, (levels, _, res, _, _) in calls[1:]:
-        assert kwargs["X0"] is not None and kwargs["block"] > count
-        assert np.all(res[:count] <= kwargs["tol"])
-        wide = eigensolve(apply_h, cell_, count, **{**kwargs, "X0": None, "block": 2 * kwargs["block"]})
-        assert np.abs(levels[:count] - wide[0][:count]).max() <= kwargs["tol"]
-
-
 def test_scf_solve_rejects_block_below_occupied_levels():
     # three electrons need three levels and a guard row in the eigensolver's block
     spec = SystemSpec(Cell(8.0, 12), (Nucleus(1.0, (4.0,) * 3),), N=3.0, alpha=0.02)
@@ -1476,26 +1465,64 @@ def test_scf_smallest_block_keeps_a_guard_row(monkeypatch):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_scf_default_block_converges_the_levels_the_fill_reads(monkeypatch, N):
     # H, He and Li in the default block: every eigensolve (the half-grid one, the
-    # fine one at A = 0 and, from a warm start with a potential, the one at A != 0)
-    # asks for the levels the fill reads, the ceil(N) occupied ones and the one
-    # above (their scalar rows at A = 0), keeps a guard row, and finds those levels
-    # as a solve of twice its block does, to its tolerance
+    # fine ones at A = 0, warm-started after the first, and, from a warm start with
+    # a potential, those at A != 0) asks for the levels the fill reads, the ceil(N)
+    # occupied ones and the one above (their scalar rows at A = 0), keeps a guard
+    # row, which gets no W, and finds those levels to its tolerance as a solve of
+    # twice its block does; and so does every solve of the spin-free oracle
+    import magrhf.spinless as spinless
+
     cell = Cell(8.0, 12)
     spec = SystemSpec(cell, (Nucleus(float(N), (4.0,) * 3),), N=float(N), alpha=0.2)
     fine, coarse = _record_solves(monkeypatch, "eigensolve"), _record_solves(monkeypatch, "_lobpcg")
-    cfg = SCFConfig(tol=1e-7, max_iter=1, seed=0)
+    cfg = SCFConfig(tol=1e-7, max_iter=3, seed=0)
     cold = scf_solve(spec, cfg)
+    n_cold = len(fine)
     a = 0.05 * bandlimited_vector(cell, np.random.default_rng(N)).values
     A = MagneticPotential(helmholtz_project(VectorField(cell, a)))
-    scf_solve(spec, cfg, initial=(cold.gamma, A))
-    assert len(coarse) == 1 and [call["kwargs"]["components"] for call in fine] == [1, 2]
-    for call in coarse + fine:
+    scf_solve(spec, replace(cfg, deg_threshold=0.0), initial=(cold.gamma, A))
+    assert len(coarse) == 1 and n_cold >= 2 and {call["kwargs"]["components"] for call in fine[:n_cold]} == {1}
+    assert [call["kwargs"]["components"] for call in fine[n_cold:n_cold + 2]] == [2, 2]
+    calls = coarse + fine
+    wanted = [math.ceil((N + 1) / 2) if call["kwargs"]["components"] == 1 else N + 1 for call in calls]
+    oracle = _record_solves(monkeypatch, "eigensolve", spinless)
+    spinless.scf_solve_spinless(spec, tol=1e-6)
+    oracle += coarse[1:]  # its half-grid start
+    assert len(oracle) > 3
+    calls += oracle
+    wanted += [math.ceil(N / 2) + 1] * len(oracle)
+    for call, count_wanted in zip(calls, wanted):
         apply_h, cell_, count = call["args"]
-        block = call["kwargs"]["block"]
-        assert count == (math.ceil((N + 1) / 2) if call["kwargs"]["components"] == 1 else N + 1)
-        assert block >= count + 1
+        block, tol = call["kwargs"]["block"], call["kwargs"]["tol"]
+        assert count == count_wanted and block >= count + 1
+        assert np.all(call["residuals"][:count] <= tol)
         wide = eigensolve(apply_h, cell_, count, **{**call["kwargs"], "block": 2 * block})
-        assert np.abs(call["levels"][:count] - wide[0][:count]).max() <= call["kwargs"]["tol"]
+        assert np.abs(call["levels"][:count] - wide[0][:count]).max() <= tol
+
+
+def test_scf_fill_reads_only_the_converged_levels(monkeypatch):
+    # 5 electrons in a smeared Z = 8 well: 1s, 2s and a threefold 2p shell that
+    # holds the fifth electron.  At A = 0 the solve converges 3 of 4 scalar rows,
+    # so the block edge cuts the 2p shell and the guard row's level is an
+    # unconverged Ritz value.  The fill reads the 6 converged spinor levels only:
+    # the last electron goes to 2p_x, whatever the guard level reads
+    spec = SystemSpec(Cell(8.0, 12), (Nucleus(8.0, (4.0,) * 3),), N=5.0, alpha=0.02)
+    calls, fills = _record_solves(monkeypatch, "eigensolve"), []
+    original = scf.fermi_fill
+
+    def fill(levels, *args):
+        fills.append(np.array(levels))
+        return original(levels, *args)
+
+    monkeypatch.setattr(scf, "fermi_fill", fill)
+    state = scf_solve(spec, SCFConfig(tol=1e-6, max_iter=1, seed=0))
+    apply_h, cell, count = calls[-1]["args"]
+    assert (count, calls[-1]["kwargs"]["block"]) == (3, 4)
+    wide = eigensolve(apply_h, cell, 5, **{**calls[-1]["kwargs"], "block": 8, "tol": 1e-9})[0]
+    assert wide[3] - wide[2] <= 1e-6 < wide[2] - wide[1]  # the edge cuts the 2p shell
+    assert state.converged_levels == 6 and len(state.levels) == 8
+    assert np.array_equal(fills[-1], state.levels[:6])
+    assert np.array_equal(state.gamma.occupations, [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0, 0.0])
 
 
 # ------------------------------------------------------------------ alpha scan
