@@ -206,16 +206,14 @@ def _pair_terms(gamma: DensityMatrix) -> tuple[ScalarField, VectorField, VectorF
     live = w != 0.0
     phi, w, d = rows[live, 0], w[live], d[live]
     c = cell.to_half_spectral(phi)
-    power = cell.k2_half * (c.real**2 + c.imag**2)
-    # each mode with 0 < m_z < n/2 stands for itself and its conjugate partner
-    per_row = 2.0 * power.sum(axis=(1, 2, 3)) - power[..., 0].sum(axis=(1, 2)) - power[..., -1].sum(axis=(1, 2))
+    per_row = cell.half_sum(cell.k2_half * (c.real**2 + c.imag**2))
     kinetic = float(0.5 * cell.volume * (w @ per_row))
     J = np.zeros((3,) + (cell.n,) * 3)
     spin = d != 0.0
     if spin.any():  # J = G x s with G = sum_i d_i phi_i grad phi_i
         d_phi, c = d[spin, None, None, None] * phi[spin], c[spin]
         G = np.stack([
-            np.sum(d_phi * cell.from_half_spectral(1j * k_i[..., : c.shape[-1]] * c), axis=0) for k_i in cell.k
+            np.sum(d_phi * cell.from_half_spectral(1j * k_i * c), axis=0) for k_i in cell.k_half
         ])
         J = np.cross(G, np.real(np.einsum("s,ist,t->i", chi.conj(), PAULI, chi)), axisa=0, axisc=0)
     rho = ScalarField(cell, np.tensordot(w, phi * phi, axes=1))

@@ -10,6 +10,11 @@ in Fourier space.  The spectral convention is
 truncated to the grid, so ``c_k = fftn(f) / n**3``.  The ``k = 0`` mode
 is the cell mean and is individually addressable (index ``[0, 0, 0]``).
 
+Real fields take the half spectrum ``m_z >= 0`` (:meth:`Cell.to_half_spectral`,
+:attr:`Cell.k_half`, the Parseval rule :meth:`Cell.half_sum`); only
+:class:`Cell` knows its layout.  The full pair serves complex data: spinors
+and the grid transfer :func:`restrict`/:func:`prolong`.
+
 The wave vectors, coordinates and displacements of a :class:`Cell` vary
 along one axis each, so they are kept as three 1-D axes that broadcast
 against (..., n, n, n) arrays; no dense (3, n, n, n) table is built.
@@ -65,9 +70,11 @@ class Cell:
     :attr:`k`, the coordinates :attr:`coords` and :meth:`displacements`
     are separable: each is a tuple of three 1-D axes with shapes
     (n, 1, 1), (1, n, 1) and (1, 1, n).  The moduli :attr:`k2`,
-    :attr:`k2_full`, :attr:`inv_k2` and :attr:`inv_k2_deriv` are full
-    (n, n, n) tables.  The cached tables are built on first read and
-    kept read-only.
+    :attr:`k2_full` and :attr:`inv_k2` are full (n, n, n) tables.  The
+    half spectrum of real fields has its own: :attr:`k_half` (the z axis
+    cut to ``m_z >= 0``), :attr:`k2_half`, :attr:`inv_k2_half` and
+    :attr:`inv_k2_deriv`, and :meth:`half_sum` is its Parseval rule.  The
+    cached tables are built on first read and kept read-only.
     """
 
     L: float
@@ -107,6 +114,12 @@ class Cell:
         k1 = self._wave_numbers()
         k1[self.n // 2] = 0.0
         return self._axes(k1)
+
+    @cached_property
+    def k_half(self) -> Axes:
+        """:attr:`k` on the half spectrum: the z axis keeps ``m_z >= 0``, shape (1, 1, n//2 + 1)."""
+        kx, ky, kz = self.k
+        return kx, ky, kz[..., : self.n // 2 + 1]
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -154,13 +167,13 @@ class Cell:
 
     @cached_property
     def inv_k2_deriv(self) -> np.ndarray:
-        """1/|k|^2 of the derivative vectors, zero where they vanish.
+        """1/|k|^2 of the derivative vectors on the half spectrum, zero where they vanish, shape (n, n, n//2 + 1).
 
-        Pairs with :attr:`k` in the Helmholtz projector and the vector
-        field equation so that derivative identities stay exact mode by
-        mode.
+        Pairs with :attr:`k_half` in the Helmholtz projector
+        (:func:`transverse_spectral`) so that derivative identities stay
+        exact mode by mode.
         """
-        k2 = self.k2
+        k2 = self.k2[..., : self.n // 2 + 1]
         with np.errstate(divide="ignore"):
             inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
         inv.setflags(write=False)
@@ -206,6 +219,13 @@ class Cell:
         :meth:`to_half_spectral`)."""
         return scipy.fft.irfftn(coeffs, s=(self.n,) * 3, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
 
+    def half_sum(self, p: np.ndarray) -> np.ndarray:
+        """Full-spectrum sum over the last three axes of a table ``p`` even in ``k``, given on the half spectrum.
+
+        The Parseval rule of :meth:`to_half_spectral`: a mode with ``0 < m_z < n/2`` also stands for ``-k``.
+        """
+        return 2.0 * p.sum(axis=(-3, -2, -1)) - p[..., 0].sum(axis=(-2, -1)) - p[..., -1].sum(axis=(-2, -1))
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
@@ -229,13 +249,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, cell: Cell) -> "ScalarField":
         return cls(cell, np.zeros((cell.n,) * 3))
-
-    @classmethod
-    def from_spectral(cls, cell: Cell, coeffs: np.ndarray) -> "ScalarField":
-        return cls(cell, cell.from_spectral(coeffs).real)
-
-    def spectral(self) -> np.ndarray:
-        return self.cell.to_spectral(self.values)
 
     def integral(self) -> float:
         return float(self.values.sum() * self.cell.dV)
@@ -263,9 +276,6 @@ class VectorField:
     @classmethod
     def zeros(cls, cell: Cell) -> "VectorField":
         return cls(cell, np.zeros((3,) + (cell.n,) * 3))
-
-    def spectral(self) -> np.ndarray:
-        return self.cell.to_spectral(self.values)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.values**2) * self.cell.dV))
@@ -342,35 +352,33 @@ def _gram(cell: Cell, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
     cell = f.cell
-    c = f.spectral()
-    grad = cell.from_spectral(np.stack([1j * k_i * c for k_i in cell.k])).real
-    return VectorField(cell, grad)
+    c = cell.to_half_spectral(f.values)
+    return VectorField(cell, cell.from_half_spectral(np.stack([1j * k_i * c for k_i in cell.k_half])))
 
 
 def divergence(v: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     cell = v.cell
-    c = v.spectral()
-    k = cell.k
-    div = cell.from_spectral(1j * k[0] * c[0] + 1j * k[1] * c[1] + 1j * k[2] * c[2]).real
-    return ScalarField(cell, div)
+    c = cell.to_half_spectral(v.values)
+    k = cell.k_half
+    return ScalarField(cell, cell.from_half_spectral(1j * k[0] * c[0] + 1j * k[1] * c[1] + 1j * k[2] * c[2]))
 
 
 def curl(v: VectorField) -> VectorField:
     """Spectral curl of a vector field."""
     cell = v.cell
-    c = v.spectral()
-    k = cell.k
+    c = cell.to_half_spectral(v.values)
+    k = cell.k_half
     out = np.empty_like(c)
     out[0] = 1j * (k[1] * c[2] - k[2] * c[1])
     out[1] = 1j * (k[2] * c[0] - k[0] * c[2])
     out[2] = 1j * (k[0] * c[1] - k[1] * c[0])
-    return VectorField(cell, cell.from_spectral(out).real)
+    return VectorField(cell, cell.from_half_spectral(out))
 
 
 def transverse_spectral(cell: Cell, c: np.ndarray) -> np.ndarray:
-    """``c_k - k (k . c_k) / |k|^2`` for the (3, n, n, n) spectral coefficients ``c``."""
-    k = cell.k
+    """``c_k - k (k . c_k) / |k|^2`` for the (3, n, n, n//2 + 1) half spectrum ``c`` of a real vector field."""
+    k = cell.k_half
     t = (k[0] * c[0] + k[1] * c[1] + k[2] * c[2]) * cell.inv_k2_deriv
     return np.stack([c_i - k_i * t for k_i, c_i in zip(k, c)])
 
@@ -385,10 +393,10 @@ def helmholtz_project(v: VectorField, *, zero_mean: bool = False) -> VectorField
     the cell average of the vector potential vanishes).
     """
     cell = v.cell
-    c = transverse_spectral(cell, v.spectral())
+    c = transverse_spectral(cell, cell.to_half_spectral(v.values))
     if zero_mean:
         c[:, 0, 0, 0] = 0.0
-    return VectorField(cell, cell.from_spectral(c).real)
+    return VectorField(cell, cell.from_half_spectral(c))
 
 
 def poisson_potential(rho: ScalarField) -> ScalarField:
@@ -396,8 +404,6 @@ def poisson_potential(rho: ScalarField) -> ScalarField:
 
     Returns phi with ``phi_k = 4 pi rho_k / |k|^2`` for ``k != 0`` and a
     vanishing mean, i.e. the solution of ``-lap phi = 4 pi (rho - mean rho)``.
-    The kernel is even in ``k``, so the real density takes the
-    half-spectrum pair (:meth:`Cell.to_half_spectral`).
     """
     cell = rho.cell
     c = cell.to_half_spectral(rho.values)

@@ -341,16 +341,13 @@ def apply_pauli_kinetic(psi: SpinorField, A: MagneticPotential | None) -> Spinor
 
 
 def _nuclear_spectral(spec: SystemSpec, s_nuc: float) -> np.ndarray:
-    """Spectral coefficients of the (regularised) nuclear charge density."""
+    """Half-spectrum coefficients of the (regularised) nuclear charge density."""
     cell = spec.cell
-    k = cell.k
-    coeffs = np.zeros((cell.n,) * 3, dtype=complex)
-    for nuc in spec.nuclei:
-        phase = np.exp(-1j * (k[0] * nuc.R[0] + k[1] * nuc.R[1] + k[2] * nuc.R[2]))
-        coeffs += nuc.z * phase
+    k = cell.k_half
+    coeffs = sum(nuc.z * np.exp(-1j * (k[0] * nuc.R[0] + k[1] * nuc.R[1] + k[2] * nuc.R[2])) for nuc in spec.nuclei)
     coeffs /= cell.volume
     if s_nuc > 0.0:
-        coeffs = coeffs * np.exp(-0.5 * cell.k2 * s_nuc**2)
+        coeffs = coeffs * np.exp(-0.5 * (k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * s_nuc**2)
     return coeffs
 
 
@@ -367,8 +364,8 @@ def external_potential(spec: SystemSpec, s_nuc: float | None = None) -> ScalarFi
     if s_nuc is None:
         s_nuc = 2.0 * cell.spacing
     rho_nuc = _nuclear_spectral(spec, s_nuc)
-    v = -4.0 * np.pi * rho_nuc * cell.inv_k2
-    return ScalarField.from_spectral(cell, v)
+    v = -4.0 * np.pi * rho_nuc * cell.inv_k2_half
+    return ScalarField(cell, cell.from_half_spectral(v))
 
 
 def green_function_GR(cell: Cell) -> ScalarField:
@@ -379,8 +376,7 @@ def green_function_GR(cell: Cell) -> ScalarField:
     Its series coefficients scaled by the cell volume are exactly
     ``4 pi / |k|^2``.
     """
-    coeffs = 4.0 * np.pi * cell.inv_k2 / cell.volume
-    return ScalarField.from_spectral(cell, coeffs.astype(complex))
+    return ScalarField(cell, cell.from_half_spectral(4.0 * np.pi * cell.inv_k2_half / cell.volume))
 
 
 def hartree(rho: ScalarField) -> tuple[ScalarField, float]:

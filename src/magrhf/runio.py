@@ -157,6 +157,8 @@ class ZeroModeSettings:
             raise ValueError(f"dilation must be positive, got {self.dilation}")
         if not self.box_ns:
             raise ValueError("box_ns must not be empty")
+        if any(b <= a for a, b in zip(self.box_ns, self.box_ns[1:])):  # the ladder's residuals must fall
+            raise ValueError("box_ns must be strictly ascending")
         for n in self.box_ns:
             Cell(self.box_L, n)
 

@@ -500,10 +500,10 @@ def update_vector_potential(J: VectorField, spec: SystemSpec) -> MagneticPotenti
         raise ValueError("all fields must live on one cell")
     if not np.any(J.values):
         return MagneticPotential.zero(cell)
-    shat = transverse_spectral(cell, cell.to_spectral(J.values))
-    ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2[None]
+    shat = transverse_spectral(cell, cell.to_half_spectral(J.values))
+    ahat = -4.0 * np.pi * spec.alpha**2 * shat * cell.inv_k2_half[None]
     ahat[:, 0, 0, 0] = 0.0
-    return MagneticPotential(VectorField(cell, cell.from_spectral(ahat).real), check_gauge=False)
+    return MagneticPotential(VectorField(cell, cell.from_half_spectral(ahat)), check_gauge=False)
 
 
 def _source_floor(rho: ScalarField) -> float:
@@ -535,8 +535,8 @@ def _field_equation_residual(
     ``A_out`` is the field solve from ``A`` (:func:`update_vector_potential`):
     it sets ``-lap A_out / (4 pi alpha^2) = P_perp J(A)`` on every mode
     ``k != 0``, so the residual ``P_perp J(A) - lap A / (4 pi alpha^2)`` is
-    ``lap(A_out - A) / (4 pi alpha^2)``, read off the series coefficients
-    (Parseval) relative to ``||P_perp J(A)|| + ||lap A|| / (4 pi alpha^2)``.
+    ``lap(A_out - A) / (4 pi alpha^2)``, read off the half spectra by
+    ``Cell.half_sum`` relative to ``||P_perp J(A)|| + ||lap A|| / (4 pi alpha^2)``.
     Source terms below :func:`_source_floor` count as an exactly
     satisfied equation rather than a noise-over-noise ratio.  A zero
     potential has no Laplacian term, so its residual needs no transform
@@ -546,16 +546,16 @@ def _field_equation_residual(
     if A.is_zero() and A_out.is_zero():
         return 0.0
     cell = A_out.cell
-    weight = cell.k2_full[None] / (4.0 * np.pi * alpha**2)
+    weight = cell.k2_half[None] / (4.0 * np.pi * alpha**2)
 
-    def norm(c: np.ndarray) -> float:  # ||f|| = sqrt(L^3) ||c||
-        return math.sqrt(cell.volume) * float(np.linalg.norm(c))
+    def norm(c: np.ndarray) -> float:  # ||f||^2 = L^3 sum |c_k|^2
+        return math.sqrt(cell.volume * float(cell.half_sum(c.real**2 + c.imag**2).sum()))
 
-    lap_out = weight * cell.to_spectral(A_out.A.values)
+    lap_out = weight * cell.to_half_spectral(A_out.A.values)
     if A.is_zero():
         lhs_norm = scale = norm(lap_out)
     else:
-        lap = weight * cell.to_spectral(A.A.values)
+        lap = weight * cell.to_half_spectral(A.A.values)
         lhs_norm = norm(lap - lap_out)
         scale = norm(lap_out) + norm(lap)
     if scale <= _source_floor(rho):

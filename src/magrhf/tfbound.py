@@ -29,7 +29,6 @@ import numpy as np
 
 from .constants import C_LT_CLASSICAL, C_SOBOLEV_SHARP
 from .density import DensityMatrix, kinetic_terms
-from .fields import ScalarField
 from .hamiltonian import MagneticPotential, green_function_GR
 from .hamiltonian import hartree as _hartree
 from .zeromodes import ZeroModeFamily, f_z
@@ -243,11 +242,10 @@ def penalised_f(
     rho, _, _, kinetic, _ = kinetic_terms(gamma, A)
     # the kernel translated by L/2: exp(i k . L/2) = (-1)^m is its own
     # inverse, so the sign of the translation does not matter
-    c = 0.5 * cell.L
-    g_r = green_function_GR(cell)
-    shift = np.exp(1j * (cell.k[0] * c + cell.k[1] * c + cell.k[2] * c))
-    g_centered = ScalarField.from_spectral(cell, g_r.spectral() * shift)
-    attraction = float(np.sum(rho.values * g_centered.values) * cell.dV)
+    c, (kx, ky, kz) = 0.5 * cell.L, cell.k_half
+    shift = np.exp(1j * (kx * c + ky * c + kz * c))
+    g_centered = cell.from_half_spectral(cell.to_half_spectral(green_function_GR(cell).values) * shift)
+    attraction = float(np.sum(rho.values * g_centered) * cell.dV)
     _, hartree_energy = _hartree(rho)
     b2 = A.field_energy_raw
     if b2 <= 0:

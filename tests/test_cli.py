@@ -13,6 +13,9 @@ import pytest
 import magrhf.cli as cli
 from magrhf.runio import checkpoint_load, parse_config
 
+# the child interpreters import the package from this checkout, as the tests do
+ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
 BASE = {
     "system": {
         "cell": {"L": 8.0, "n": 12},
@@ -38,6 +41,7 @@ def _run(sub, cfg, tmp_path, extra=()):
         capture_output=True,
         text=True,
         timeout=600,
+        env=ENV,
     )
     record = None
     rec_path = os.path.join(out_dir, f"{sub}_record.json")
@@ -248,6 +252,8 @@ def test_alpha_scan_requires_alphas(tmp_path):
         ("scf", {"system": dict(BASE["system"], N=3.0), "scf": {"eig_block": 1}}, "eig_block=1 cannot hold"),
         ("scf", {"system": BASE["system"], "scf": {"eig_tol": 0.0}}, "eig_tol must be positive"),
         ("scf", {"system": BASE["system"], "scf": {"s_nuc": -0.5}}, "s_nuc must be non-negative"),
+        ("zero-mode", {"zero_mode": {"box_ns": [64, 48]}}, "box_ns must be strictly ascending"),
+        ("zero-mode", {"zero_mode": {"box_ns": [48, 48]}}, "box_ns must be strictly ascending"),
     ],
 )
 def test_config_errors_exit_one_without_traceback(tmp_path, sub, overrides, message):
@@ -325,6 +331,6 @@ def test_runners_look_up_patched_names(monkeypatch, tmp_path):
 def test_cli_import_leaves_out_scipy_integrate():
     # the zero-mode integrals are closed forms, so no quadrature is loaded
     code = "import sys, magrhf.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -234,7 +234,9 @@ def test_kinetic_terms_match_per_orbital_applies_on_a_polarised_scf_state():
 def test_pass_J_is_the_A_gradient_of_the_kinetic_energy(n, L):
     # the kinetic energy is quadratic in A, so a central difference is exact
     # up to roundoff at any step; the directions are white noise, so they
-    # carry longitudinal parts and the Nyquist planes too
+    # carry longitudinal parts and the Nyquist planes too.  The roundoff of
+    # the difference is about eps K / h, so the step is 1: at h = 0.1 that
+    # floor (~4e-13 at n = 24) exceeds the bound on the second direction
     cell = Cell(L, n)
     gamma, A = white_noise_state(cell, seed=n)
     J = kinetic_terms(gamma, A)[2]
@@ -246,7 +248,7 @@ def test_pass_J_is_the_A_gradient_of_the_kinetic_energy(n, L):
             return kinetic_terms(gamma, MagneticPotential(VectorField(cell, A.A.values + h * d), check_gauge=False))[3]
 
         want = np.sum(J.values * d) * cell.dV
-        assert abs((kinetic(0.1) - kinetic(-0.1)) / 0.2 - want) <= 1e-10 * abs(want)
+        assert abs((kinetic(1.0) - kinetic(-1.0)) / 2.0 - want) <= 1e-10 * abs(want)
 
 
 def test_pass_J_is_the_continuum_source_on_band_limited_states():

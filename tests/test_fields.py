@@ -15,6 +15,7 @@ from conftest import (
 )
 from numpy.testing import assert_allclose
 
+from magrhf import scf
 from magrhf.fields import (
     Cell,
     CellMismatchError,
@@ -31,6 +32,8 @@ from magrhf.fields import (
     restrict,
     transverse_spectral,
 )
+from magrhf.hamiltonian import MagneticPotential, Nucleus, SystemSpec, external_potential, green_function_GR
+from magrhf.scf import update_vector_potential
 
 CELL = Cell(10.0, 24)
 
@@ -47,7 +50,7 @@ def test_cell_validation():
 
 def test_zero_mode_is_addressable():
     f = ScalarField(CELL, np.full((24,) * 3, 3.7))
-    c = f.spectral()
+    c = CELL.to_spectral(f.values)
     assert abs(c[0, 0, 0] - 3.7) < 1e-14
     assert np.abs(np.delete(c.ravel(), 0)).max() < 1e-13
 
@@ -60,7 +63,7 @@ def test_spectral_roundtrip_and_parseval():
     ]:
         v = rng.standard_normal((24,) * 3) + 0j
         f = make(v)
-        back = CELL.from_spectral(f.spectral())
+        back = CELL.from_spectral(CELL.to_spectral(f.values))
         assert np.abs(back.real - f.values).max() < 1e-12 * np.abs(f.values).max()
     psi = SpinorField(CELL, rng.standard_normal((2,) + (24,) * 3) + 1j * rng.standard_normal((2,) + (24,) * 3))
     back = CELL.from_spectral(psi.spectral())
@@ -93,23 +96,28 @@ def test_separable_tables_match_the_dense_meshgrid_tables():
 
 
 def test_spectral_operators_match_the_dense_tables_bit_for_bit():
-    # the broadcast wave vectors against the (3, n, n, n) table, with the
-    # same operation order per element
+    # the broadcast wave vectors against the (3, n, n, n//2 + 1) half of the
+    # dense table, with the same operation order per element
     rng = np.random.default_rng(11)
     for cell in (CELL, Cell(7.0, 16)):
-        k = meshgrid_k(cell)
+        k = meshgrid_k(cell)[..., : cell.n // 2 + 1]
+        k2 = np.sum(k**2, axis=0)
+        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+        assert np.array_equal(dense(cell.k_half), k)
+        assert np.array_equal(cell.inv_k2_deriv, inv_k2)
         f = ScalarField(cell, rng.standard_normal((cell.n,) * 3))
         v = VectorField(cell, rng.standard_normal((3,) + (cell.n,) * 3))
-        c_f, c_v = f.spectral(), v.spectral()
-        assert np.array_equal(gradient(f).values, cell.from_spectral(1j * k * c_f[None]).real)
-        assert np.array_equal(divergence(v).values, cell.from_spectral(np.sum(1j * k * c_v, axis=0)).real)
+        c_f, c_v = cell.to_half_spectral(f.values), cell.to_half_spectral(v.values)
+        assert np.array_equal(gradient(f).values, cell.from_half_spectral(1j * k * c_f[None]))
+        assert np.array_equal(divergence(v).values, cell.from_half_spectral(np.sum(1j * k * c_v, axis=0)))
         want = np.empty_like(c_v)
         want[0] = 1j * (k[1] * c_v[2] - k[2] * c_v[1])
         want[1] = 1j * (k[2] * c_v[0] - k[0] * c_v[2])
         want[2] = 1j * (k[0] * c_v[1] - k[1] * c_v[0])
-        assert np.array_equal(curl(v).values, cell.from_spectral(want).real)
-        want = c_v - k * (np.sum(k * c_v, axis=0) * cell.inv_k2_deriv)[None]
+        assert np.array_equal(curl(v).values, cell.from_half_spectral(want))
+        want = c_v - k * (np.sum(k * c_v, axis=0) * inv_k2)[None]
         assert np.array_equal(transverse_spectral(cell, c_v), want)
+        assert np.array_equal(helmholtz_project(v).values, cell.from_half_spectral(want))
 
 
 def test_cell_mismatch_raises():
@@ -168,12 +176,15 @@ def test_helmholtz_projection_properties():
     longitudinal = VectorField(CELL, v.values - p.values)
     assert abs(inner(longitudinal, p)) < 1e-12 * v.norm() ** 2
     # per-mode oracle: v_k - k (k . v_k)/|k|^2 on the derivative vectors
-    c = v.spectral()
+    c = CELL.to_spectral(v.values)
     k = dense(CELL.k)
     k2 = np.sum(k * k, axis=0)
     invk2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
     oracle = c - k * (np.sum(k * c, axis=0) * invk2)[None]
-    assert np.abs(p.spectral() - oracle).max() < 1e-13
+    assert np.abs(CELL.to_spectral(p.values) - oracle).max() < 1e-13
+    # the half spectrum of the projection is the projection of the half spectrum
+    half = transverse_spectral(CELL, CELL.to_half_spectral(v.values))
+    assert np.abs(half - oracle[..., : CELL.n // 2 + 1]).max() < 1e-13
 
 
 def test_helmholtz_mean_handling():
@@ -229,6 +240,86 @@ def test_poisson_takes_the_half_spectrum(transform_rows):
     assert transform_rows == {"to_half_spectral": 1, "from_half_spectral": 1}
     full = cell.from_spectral(4.0 * np.pi * cell.inv_k2 * cell.to_spectral(rho.values)).real
     assert np.abs(phi.values - full).max() <= 1e-14 * np.abs(full).max()
+
+
+def _full_transverse(cell, c):
+    """``c_k - k (k . c_k) / |k|^2`` on the full spectrum, the derivative vectors Nyquist-zeroed."""
+    k = dense(cell.k)
+    inv = np.where(cell.k2 > 0, 1.0 / np.where(cell.k2 > 0, cell.k2, 1.0), 0.0)
+    return c - k * (np.sum(k * c, axis=0) * inv)[None]
+
+
+def _real_field_cases():
+    """Each real-field operation as ``(run, reference)`` on white-noise inputs; the
+    reference is its complex-transform formula, the imaginary part dropped."""
+    cell = Cell(7.0, 16)
+    rng = np.random.default_rng(12)
+    f = ScalarField(cell, rng.standard_normal((16,) * 3))
+    v = VectorField(cell, rng.standard_normal((3,) + (16,) * 3))
+    spec = SystemSpec(cell, (Nucleus(1.0, (2.0, 3.5, 1.25)), Nucleus(2.0, (5.1, 0.4, 6.9))), N=3.0, alpha=0.2)
+    rho = ScalarField(cell, np.abs(f.values))
+    A = MagneticPotential(helmholtz_project(VectorField(cell, 0.05 * v.values), zero_mean=True))
+    A_out = update_vector_potential(v, spec)
+    k, to, back = dense(cell.k), cell.to_spectral, lambda c: cell.from_spectral(c).real
+
+    def curl_ref():
+        c = to(v.values)
+        return back(1j * np.stack([k[1] * c[2] - k[2] * c[1], k[2] * c[0] - k[0] * c[2], k[0] * c[1] - k[1] * c[0]]))
+
+    def field_solve_ref():
+        a = -4.0 * np.pi * spec.alpha**2 * _full_transverse(cell, to(v.values)) * cell.inv_k2[None]
+        a[:, 0, 0, 0] = 0.0
+        return back(a)
+
+    def residual_ref():
+        weight = cell.k2_full[None] / (4.0 * np.pi * spec.alpha**2)
+        lap, lap_out = (weight * to(a.A.values) for a in (A, A_out))
+        norm = np.linalg.norm
+        return norm(lap - lap_out) / (norm(lap_out) + norm(lap))
+
+    def nuclear_ref():
+        coeffs = sum(nuc.z * np.exp(-1j * np.sum(k * np.reshape(nuc.R, (3, 1, 1, 1)), axis=0)) for nuc in spec.nuclei)
+        coeffs = coeffs / cell.volume * np.exp(-0.5 * cell.k2 * (2.0 * cell.spacing) ** 2)
+        return back(-4.0 * np.pi * coeffs * cell.inv_k2)
+
+    return {
+        "gradient": (lambda: gradient(f).values, lambda: back(1j * k * to(f.values)[None])),
+        "divergence": (lambda: divergence(v).values, lambda: back(np.sum(1j * k * to(v.values), axis=0))),
+        "curl": (lambda: curl(v).values, curl_ref),
+        "helmholtz_project": (lambda: helmholtz_project(v).values, lambda: back(_full_transverse(cell, to(v.values)))),
+        "update_vector_potential": (lambda: update_vector_potential(v, spec).A.values, field_solve_ref),
+        "_field_equation_residual": (lambda: scf._field_equation_residual(A, A_out, rho, spec.alpha), residual_ref),
+        "external_potential": (lambda: external_potential(spec).values, nuclear_ref),
+        "green_function_GR": (lambda: green_function_GR(cell).values, lambda: back(4.0 * np.pi * cell.inv_k2 / cell.volume)),
+        "poisson_potential": (
+            lambda: poisson_potential(f).values, lambda: back(4.0 * np.pi * cell.inv_k2 * to(f.values))
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_real_field_cases()))
+def test_real_fields_take_the_half_spectrum(name, transform_rows):
+    # a real-field operation runs only the half-spectrum pair, and gives its
+    # complex-transform formula to roundoff, the Nyquist planes included
+    run, reference = _real_field_cases()[name]
+    transform_rows.clear()  # the transforms that built the inputs
+    got = run()
+    assert transform_rows and set(transform_rows) <= {"to_half_spectral", "from_half_spectral"}
+    want = reference()
+    assert np.isrealobj(got)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_half_sum_is_the_full_spectrum_sum(n):
+    # white noise fills the m_z = n/2 column, which stands for itself only
+    cell = Cell(5.0, n)
+    x = np.random.default_rng(n).standard_normal((2,) + (n,) * 3)
+    full, half = np.abs(cell.to_spectral(x)) ** 2, np.abs(cell.to_half_spectral(x)) ** 2
+    assert np.abs(half[..., -1]).min() > 0.0
+    for table, table_half in ((1.0, 1.0), (cell.k2_full, cell.k2_half)):
+        want = np.sum(table * full, axis=(1, 2, 3))
+        assert np.abs(cell.half_sum(table_half * half) - want).max() <= 1e-13 * want.max()
 
 
 def test_poisson_gaussian_against_radial_quadrature():

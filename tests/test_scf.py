@@ -507,12 +507,12 @@ def _source_form_residual(J, rho, A, alpha):
     ``scf._source_floor``.
     """
     cell = J.cell
-    shat = transverse_spectral(cell, cell.to_spectral(J.values))
+    shat = transverse_spectral(cell, cell.to_half_spectral(J.values))
     shat[:, 0, 0, 0] = 0.0
-    lap = cell.k2_full[None] * cell.to_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
+    lap = cell.k2_half[None] * cell.to_half_spectral(A.A.values) / (4.0 * np.pi * alpha**2)
 
     def norm(c):
-        return VectorField(cell, cell.from_spectral(c).real).norm()
+        return VectorField(cell, cell.from_half_spectral(c)).norm()
 
     scale = norm(shat) + norm(lap)
     if scale <= scf._source_floor(rho):
