@@ -1,8 +1,8 @@
 """Finite-rank one-body density matrices and their observables.
 
-A state is stored in spectral form: orthonormal spinor orbitals, stacked
-once into one read-only block (:attr:`DensityMatrix.block`), with
-occupation numbers in [0, 1].  Dense kernels gamma(x, y) are never
+A state is stored in spectral form: orthonormal spinor orbitals, the rows
+of one read-only block (:attr:`DensityMatrix.block`), with occupation
+numbers in [0, 1].  Dense kernels gamma(x, y) are never
 materialised here; test oracles rebuild them on tiny grids when needed.
 A state built from real scalar rows and a spin axis
 (:meth:`DensityMatrix.from_spin_pairs`) keeps both next to its block.
@@ -13,6 +13,7 @@ spin-free trace from one pass over the occupied block; the rest reads it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,48 +70,61 @@ def _spin_pairs(X: np.ndarray, rows: int, chi: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
-    """gamma = sum_k n_k |phi_k><phi_k| with orthonormal spinor orbitals.
+    """gamma = sum_k n_k |phi_k><phi_k| on the orthonormal rows phi_k of the read-only (m, 2, n, n, n) :attr:`block`.
 
-    They are stacked once into the read-only (m, 2, n, n, n) :attr:`block`, whose rows :attr:`orbitals` view.
+    ``DensityMatrix(orbitals, occupations)`` stacks its spinor fields once; :meth:`from_block` adopts a block.
     """
 
-    orbitals: tuple[SpinorField, ...]
+    cell: Cell
+    block: np.ndarray = field(repr=False)
     occupations: np.ndarray
-    mode: str = "molecular"
-    block: np.ndarray = field(init=False, repr=False, compare=False)
     #: ``(A, kinetic_terms(self, A))`` of the last pass
-    _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _pass: tuple | None = field(default=None, repr=False)
     #: ``(rows, chi)`` of a state built by :meth:`from_spin_pairs`: its scalar rows and its spin axis
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _pairs: tuple | None = field(default=None, repr=False)
+
+    def __init__(self, orbitals: Iterable[SpinorField], occupations: np.ndarray) -> None:
+        orbitals = tuple(orbitals)
+        if not orbitals:
+            raise ValueError("a density matrix needs at least one orbital")
+        if any(phi.cell != orbitals[0].cell for phi in orbitals):
+            raise CellMismatchError("orbitals live on different cells")
+        self._adopt(orbitals[0].cell, np.stack([phi.values for phi in orbitals]), occupations)
 
     @classmethod
-    def from_spin_pairs(
-        cls, cell: Cell, rows: np.ndarray, chi: np.ndarray, occupations: np.ndarray, mode: str = "molecular"
-    ) -> "DensityMatrix":
+    def from_block(cls, cell: Cell, block: np.ndarray, occupations: np.ndarray) -> "DensityMatrix":
+        """gamma on the orthonormal rows of ``block`` (m, 2, n, n, n), adopted: frozen in place, not copied."""
+        gamma = cls.__new__(cls)
+        gamma._adopt(cell, block, occupations)
+        return gamma
+
+    @classmethod
+    def from_spin_pairs(cls, cell: Cell, rows: np.ndarray, chi: np.ndarray, occupations: np.ndarray) -> "DensityMatrix":
         """gamma on the spin pairs ``phi (x) chi, phi (x) chi_perp`` of the real orthonormal
         scalar rows ``rows`` (m, 1, n, n, n), one spinor per occupation (:func:`_spin_pairs`).
 
-        The spinors go through the constructor into the block; the rows and
-        ``chi`` are kept, so :func:`kinetic_terms` and an SCF warm start at
-        A = 0 work on the scalar rows.
+        The block of spinors is adopted; the rows and ``chi`` are kept, so
+        :func:`kinetic_terms` and an SCF warm start at A = 0 work on the scalar rows.
         """
         if np.iscomplexobj(rows):
             raise TypeError("spin pairs are built from real scalar rows")
         occ = np.asarray(occupations, dtype=float)
-        gamma = cls(tuple(SpinorField(cell, x) for x in _spin_pairs(rows, occ.size, chi)), occ, mode=mode)
+        if occ.size > 2 * len(rows):
+            raise ValueError(f"{occ.size} occupations need {(occ.size + 1) // 2} scalar rows, got {len(rows)}")
+        gamma = cls.from_block(cell, _spin_pairs(rows, occ.size, chi), occ)
         kept = rows[:(occ.size + 1) // 2].view()
         kept.setflags(write=False)
         object.__setattr__(gamma, "_pairs", (kept, np.array(chi, dtype=complex)))
         return gamma
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orbitals", tuple(self.orbitals))
-        occ = np.asarray(self.occupations, dtype=float).copy()
-        if len(self.orbitals) != occ.size:
+    def _adopt(self, cell: Cell, block: np.ndarray, occupations: np.ndarray) -> None:
+        """Check ``block`` and ``occupations`` on ``cell`` and keep them: both constructors' checks."""
+        occ = np.asarray(occupations, dtype=float).copy()
+        if len(block) != occ.size:
             raise ValueError("one occupation number per orbital is required")
-        if not self.orbitals:
+        if not occ.size:
             raise ValueError("a density matrix needs at least one orbital")
         if not np.isfinite(occ).all():
             raise ValueError(f"occupations must be finite, got {occ}")
@@ -119,25 +133,15 @@ class DensityMatrix:
                              f"[{occ.min()}, {occ.max()}]")
         occ = np.clip(occ, 0.0, 1.0)
         occ.setflags(write=False)
-        object.__setattr__(self, "occupations", occ)
-        cell = self.orbitals[0].cell
-        for phi in self.orbitals[1:]:
-            if phi.cell != cell:
-                raise CellMismatchError("orbitals live on different cells")
-        object.__setattr__(self, "block", _freeze(np.stack([phi.values for phi in self.orbitals])))
-        object.__setattr__(self, "orbitals", tuple(SpinorField(cell, x) for x in self.block))
-        self._check_orthonormal()
-
-    def _check_orthonormal(self) -> None:
-        X = self.block.reshape(len(self.block), -1)
-        gram = _gram(self.cell, X, X)
-        err = np.abs(gram - np.eye(len(X))).max()
+        block = _freeze(np.asarray(block, dtype=complex))
+        if block.shape[1:] != (2,) + (cell.n,) * 3:
+            raise ValueError(f"orbital block shape {block.shape} does not match cell n={cell.n}")
+        for name, value in (("cell", cell), ("block", block), ("occupations", occ)):
+            object.__setattr__(self, name, value)
+        X = block.reshape(len(block), -1)
+        err = np.abs(_gram(cell, X, X) - np.eye(len(X))).max()
         if err > 1e-10:
             raise ValueError(f"orbitals are not orthonormal: max deviation {err:.3e}")
-
-    @property
-    def cell(self) -> Cell:
-        return self.orbitals[0].cell
 
     def trace(self) -> float:
         """Tr(gamma); the trace per unit cell in periodic mode."""

@@ -302,9 +302,6 @@ class SpinorField:
     def zeros(cls, cell: Cell) -> "SpinorField":
         return cls(cell, np.zeros((2,) + (cell.n,) * 3, dtype=complex))
 
-    def spectral(self) -> np.ndarray:
-        return self.cell.to_spectral(self.values)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.cell.dV))
 

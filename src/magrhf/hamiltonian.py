@@ -322,7 +322,7 @@ def apply_sigma_kinetic_root(psi: SpinorField, A: MagneticPotential | None) -> S
     """
     cell = psi.cell
     a = _vector_potential(cell, A)
-    c = psi.spectral()
+    c = cell.to_spectral(psi.values)
     s, buf = np.empty_like(c), np.empty_like(c[0])
     out = cell.from_spectral(_sigma_dot(_sigma_entries(cell.k), c, s, buf))
     del c  # frees the room the sigma . A entries take, so the peak stays at 3.5 spinors

@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .density import DensityMatrix
-from .fields import Cell, SpinorField, VectorField
+from .fields import Cell, VectorField
 from .hamiltonian import MagneticPotential, Nucleus, SystemSpec
 from .scf import SCFConfig, SCFState
 from .tfbound import RadialGrid
@@ -389,7 +389,7 @@ class CheckpointData:
     system: bytes | None  # digest of the nuclei and N; None in an MRHF1 file
 
     def initial_for(self, spec: SystemSpec) -> tuple[DensityMatrix, MagneticPotential]:
-        """The stored ``(gamma, A)`` as the warm start of ``scf_solve`` for ``spec``."""
+        """The stored ``(gamma, A)`` to warm-start ``scf_solve`` for ``spec``; ``gamma`` adopts :attr:`orbitals`."""
         if abs(spec.cell.L - self.L) > 1e-12 or spec.cell.n != self.n:
             raise CheckpointError(
                 f"checkpoint cell (L={self.L}, n={self.n}) does not match the "
@@ -401,9 +401,8 @@ class CheckpointData:
             )
         if self.system is not None and self.system != _system_digest(spec):
             raise CheckpointError("checkpoint was written for other nuclei or another electron count N")
-        orbitals = tuple(SpinorField(spec.cell, v) for v in self.orbitals)
         try:
-            gamma = DensityMatrix(orbitals, self.occupations, mode=self.mode)
+            gamma = DensityMatrix.from_block(spec.cell, self.orbitals, self.occupations)
         except ValueError as exc:
             raise CheckpointError(f"checkpoint state: {exc}") from exc
         return gamma, MagneticPotential(VectorField(spec.cell, self.A_values), check_gauge=False)
@@ -422,7 +421,7 @@ def checkpoint_save(state: SCFState, path: str) -> None:
     cell = state.gamma.cell
     n_orb = len(state.gamma.block)
     header = _MAGIC + _HEADER.pack(
-        _VERSIONS[_MAGIC], cell.L, cell.n, n_orb, _MODES[state.gamma.mode], state.spec.alpha,
+        _VERSIONS[_MAGIC], cell.L, cell.n, n_orb, _MODES[state.spec.mode], state.spec.alpha,
         state.fermi_energy, state.iteration,
     ) + _system_digest(state.spec)
     occ = np.ascontiguousarray(state.gamma.occupations, dtype="<f8")

@@ -42,7 +42,6 @@ from scipy.linalg.blas import get_blas_funcs
 from .density import (
     DensityMatrix,
     EnergyBreakdown,
-    _spin_pairs,
     current,  # uncalled: perfbench/spans.py patches it here (ROADMAP direction 3)
     density,
     kinetic_inequality_report,
@@ -54,7 +53,6 @@ from .density import (
 from .fields import (
     Cell,
     ScalarField,
-    SpinorField,
     VectorField,
     _gram,
     divergence,
@@ -835,10 +833,9 @@ def scf_solve(
         rows, occ_rows = ((filled + 1) // 2, occ[:filled:2]) if spin_block else (filled, occ[:filled])
         h_orbitals = h_orbitals[:rows].copy()
         if spin_block:
-            gamma = DensityMatrix.from_spin_pairs(cell, start, chi, occ, mode=spec.mode)
-        else:  # the residual reads the rows from gamma's block, so the eigensolver's copy is freed
-            gamma = DensityMatrix(tuple(SpinorField(cell, x) for x in start), occ, mode=spec.mode)
-            start = gamma.block
+            gamma = DensityMatrix.from_spin_pairs(cell, start, chi, occ)
+        else:  # gamma adopts the eigensolver's rows, which the residual reads too
+            gamma = DensityMatrix.from_block(cell, start, occ)
         rho_out, j, J, _, _ = kinetic_terms(gamma, A)  # total_energy and the audit read the same pass
         # the orbital residual at the output mean field, whose H differs from
         # the eigensolver's only in the Hartree term: H_out X = H X + (v_h(rho_out) - v_h(rho)) X

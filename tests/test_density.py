@@ -1,6 +1,8 @@
 """Density matrices, observables, the energy assembly and the kinetic
 inequalities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import bandlimited_spinor, bandlimited_vector, dense, white_noise_state
@@ -57,41 +59,65 @@ def _dense_kernel(gamma):
     cell = gamma.cell
     dim = 2 * cell.n**3
     g = np.zeros((dim, dim), dtype=complex)
-    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
-        v = phi.values.ravel()
+    for n_k, phi in zip(gamma.occupations, gamma.block):
+        v = phi.ravel()
         g += n_k * np.outer(v, v.conj())
     return g
 
 
+def _from_block(orbs, occupations):
+    """:meth:`DensityMatrix.from_block` on the stacked values of ``orbs``."""
+    return DensityMatrix.from_block(orbs[0].cell, np.stack([phi.values for phi in orbs]), occupations)
+
+
 def test_density_matrix_validation():
+    # both constructors run the same checks
     rng = np.random.default_rng(0)
     orbs = _orthonormal_orbitals(CELL8, rng, 2)
-    with pytest.raises(ValueError):
-        DensityMatrix(orbs, np.array([0.5]))  # wrong occupation count
-    with pytest.raises(ValueError):
-        DensityMatrix(orbs, np.array([1.5, 0.2]))  # Pauli violation
-    with pytest.raises(ValueError):
-        DensityMatrix((orbs[0], orbs[0]), np.array([0.5, 0.5]))  # not orthonormal
-    # a NaN fails both ends of the range check, so it is refused on its own
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            DensityMatrix(orbs, np.array([1.0, bad]))
-    gamma = DensityMatrix(orbs, np.array([1.0, 0.25]))
-    assert abs(gamma.trace() - 1.25) < 1e-14
+    for build in (DensityMatrix, _from_block):
+        with pytest.raises(ValueError):
+            build(orbs, np.array([0.5]))  # wrong occupation count
+        with pytest.raises(ValueError):
+            build(orbs, np.array([1.5, 0.2]))  # Pauli violation
+        with pytest.raises(ValueError):
+            build((orbs[0], orbs[0]), np.array([0.5, 0.5]))  # not orthonormal
+        # a NaN fails both ends of the range check, so it is refused on its own
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build(orbs, np.array([1.0, bad]))
+        gamma = build(orbs, np.array([1.0, 0.25]))
+        assert abs(gamma.trace() - 1.25) < 1e-14
+    with pytest.raises(ValueError, match="shape"):  # scalar rows are not spinors
+        DensityMatrix.from_block(CELL8, np.stack([phi.values[:1] for phi in orbs]), np.array([1.0, 0.25]))
 
 
 def test_density_matrix_stores_one_read_only_block():
-    # the orbitals are stacked once; each orbital is a view of its row
+    # the orbitals are stacked once into a read-only block, a copy of their values
     rng = np.random.default_rng(0)
     orbs = _orthonormal_orbitals(CELL8, rng, 3)
     gamma = DensityMatrix(iter(orbs), np.array([1.0, 0.5, 0.0]))
     assert gamma.block.shape == (3, 2) + (CELL8.n,) * 3 and not gamma.block.flags.writeable
     with pytest.raises(ValueError):
         gamma.block[0, 0, 0, 0, 0] = 1.0
-    for i, (phi, given) in enumerate(zip(gamma.orbitals, orbs)):
-        assert np.array_equal(phi.values, given.values)
-        assert np.shares_memory(phi.values, gamma.block[i])
-        assert not np.shares_memory(phi.values, given.values)
+    for row, given in zip(gamma.block, orbs):
+        assert np.array_equal(row, given.values)
+        assert not np.shares_memory(row, given.values)
+
+
+def test_from_block_adopts_its_block():
+    # the block handed in becomes the state's: frozen in place, not copied
+    cell = Cell(6.0, 16)  # a block large enough that a copy would stand out of the bookkeeping
+    orbs = _orthonormal_orbitals(cell, np.random.default_rng(0), 3)
+    block = np.stack([phi.values for phi in orbs])
+    tracemalloc.start()
+    try:
+        gamma = DensityMatrix.from_block(cell, block, np.array([1.0, 0.5, 0.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma.block is block and gamma.cell == cell
+    assert not block.flags.writeable
+    assert peak < 0.1 * block.nbytes
 
 
 def test_single_orbital_density_integrates_to_one():
@@ -201,10 +227,11 @@ def _assert_pass_matches_per_orbital_applies(gamma, A):
     cell = gamma.cell
     kinetic = trace = 0.0
     j = np.zeros((3,) + (cell.n,) * 3)
-    for n_k, phi in zip(gamma.occupations, gamma.orbitals):
+    for n_k, row in zip(gamma.occupations, gamma.block):
+        phi = SpinorField(cell, row)
         kinetic += n_k * inner(phi, apply_pauli_kinetic(phi, A)).real
         trace += n_k * inner(phi, apply_magnetic_laplacian(phi, A)).real
-        grad = cell.from_spectral(1j * dense(cell.k)[:, None] * phi.spectral()[None])
+        grad = cell.from_spectral(1j * dense(cell.k)[:, None] * cell.to_spectral(phi.values)[None])
         j += 2.0 * n_k * np.sum(np.imag(np.conjugate(phi.values) * grad), axis=1)
     rho, j_pass, _, kinetic_pass, trace_pass = kinetic_terms(gamma, A)
     assert np.array_equal(rho.values, density(gamma).values)
@@ -293,7 +320,7 @@ def test_pair_route_matches_the_spinor_route(fill):
     # every pair is equally filled
     occ = PAIR_FILLS[fill][0]
     gamma = _spin_pair_state(CELL8, occ)
-    spinor = DensityMatrix(gamma.orbitals, gamma.occupations)
+    spinor = DensityMatrix.from_block(CELL8, gamma.block, gamma.occupations)
     for A in (None, MagneticPotential.zero(CELL8)):
         rho, j, J, kinetic, trace = kinetic_terms(gamma, A)
         rho_s, _, J_s, kinetic_s, trace_s = kinetic_terms(spinor, A)
@@ -343,6 +370,12 @@ def test_spin_pairs_need_real_rows():
     rows = np.zeros((1, 1) + (CELL8.n,) * 3, dtype=complex)
     with pytest.raises(TypeError):
         DensityMatrix.from_spin_pairs(CELL8, rows, np.array([1.0, 0.0]), np.array([1.0]))
+
+
+def test_spin_pairs_need_a_row_per_two_occupations():
+    rows = np.zeros((2, 1) + (CELL8.n,) * 3)
+    with pytest.raises(ValueError, match="5 occupations need 3 scalar rows, got 2"):
+        DensityMatrix.from_spin_pairs(CELL8, rows, np.array([1.0, 0.0]), np.ones(5))
 
 
 def test_total_energy_matches_dense_contraction():

@@ -167,9 +167,7 @@ def small_state():
 def _clone(spec, state, data, orbitals=None) -> SCFState:
     """An equivalent state container rebuilt from loaded checkpoint data."""
     orbitals = data.orbitals if orbitals is None else orbitals
-    gamma = DensityMatrix(
-        tuple(SpinorField(spec.cell, v) for v in orbitals), data.occupations, mode=data.mode
-    )
+    gamma = DensityMatrix(tuple(SpinorField(spec.cell, v) for v in orbitals), data.occupations)
     pot = MagneticPotential(VectorField(spec.cell, data.A_values), check_gauge=False)
     return SCFState(
         spec=spec,
@@ -260,12 +258,26 @@ def test_checkpoint_cell_mismatch(tmp_path, small_state):
             data.initial_for(SystemSpec(spec.cell, nuclei, N=N, alpha=0.05))
     # the coupling is not part of the system check: alpha scans warm-start across it
     gamma, pot = data.initial_for(SystemSpec(spec.cell, spec.nuclei, N=1.0, alpha=0.1))
-    assert np.array_equal(np.stack([orb.values for orb in gamma.orbitals]), data.orbitals)
+    assert np.array_equal(gamma.block, data.orbitals) and np.shares_memory(gamma.block, data.orbitals)
     assert np.array_equal(pot.A.values, data.A_values)
-    # a corrupt orbital block is a checkpoint error, not a bare ValueError
+    # a corrupt orbital block is a checkpoint error, not a bare ValueError;
+    # the state above adopted the loaded block, so a copy is corrupted
+    data.orbitals = data.orbitals.copy()
     data.orbitals[0] *= 2.0
     with pytest.raises(CheckpointError, match="orthonormal"):
         data.initial_for(spec)
+
+
+def test_checkpoint_mode_byte_comes_from_the_system(tmp_path, small_state):
+    # the mode byte (after the magic, version, L, n and n_orbitals) is the system's
+    spec, state = small_state
+    path = os.path.join(tmp_path, "m.ckpt")
+    checkpoint_save(state, path)
+    periodic = SystemSpec(spec.cell, spec.nuclei, N=1.0, alpha=0.05, mode="periodic")
+    checkpoint_save(_clone(periodic, state, checkpoint_load(path)), path)
+    at = 5 + struct.calcsize("<IdII")
+    assert open(path, "rb").read()[at] == 1
+    assert checkpoint_load(path).mode == "periodic"
 
 
 def test_checkpoint_with_nan_occupations_is_refused(tmp_path, small_state):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from magrhf import scf
 from magrhf import hamiltonian as hamiltonian_module
-from magrhf.density import DensityMatrix, density, kinetic_terms, magnetisation
+from magrhf.density import DensityMatrix, _spin_pairs, density, kinetic_terms, magnetisation
 from magrhf.fields import (
     Cell,
     ScalarField,
@@ -820,7 +820,7 @@ def test_scf_builds_one_hamiltonian_per_eigensolve(monkeypatch):
     # oracle: the residual of the last iterate with a freshly built H_out
     from magrhf.hamiltonian import external_potential, hartree
 
-    X = np.stack([orb.values for orb in state.gamma.orbitals])
+    X = state.gamma.block
     v_h, _ = hartree(density(state.gamma))
     V = external_potential(spec, s_nuc=2.0 * cell.spacing)
     HX = scf.make_hamiltonian(cell, ScalarField(cell, V.values + v_h.values), state.A)(X)
@@ -1006,7 +1006,7 @@ def test_scf_selects_the_spin_block_solve(monkeypatch, case):
     assert fine[0]["X0"].shape[:2] == (rows, components)
     assert len(coarse) == (initial is None)
     # the state carries spinors and their levels either way
-    assert len(state.levels) == len(state.gamma.orbitals) == 4
+    assert len(state.levels) == len(state.gamma.block) == 4
 
 
 def _pinned_he_and_spinor_oracle(monkeypatch):
@@ -1062,7 +1062,7 @@ def test_scf_pairs_a_scalar_start_for_a_magnetic_solve(monkeypatch):
     scf_solve(spec, SCFConfig(tol=1e-7, eig_block=4, deg_threshold=0.0, max_iter=2, seed=0))
     first, second = calls
     assert first["kwargs"]["components"] == 1 and second["kwargs"]["components"] == 2
-    assert np.array_equal(second["X0"], scf._spin_pairs(first["orbitals"], 4, scf._spin_axis(0)))
+    assert np.array_equal(second["X0"], _spin_pairs(first["orbitals"], 4, scf._spin_axis(0)))
     # the paired start beats a random one on the same operator
     random = eigensolve(*second["args"], **second["kwargs"])
     assert np.abs(random[0][:2] - second["levels"][:2]).max() <= second["kwargs"]["tol"]
@@ -1143,10 +1143,20 @@ def test_scf_magnetic_warm_start_reads_the_last_block(monkeypatch):
     assert {gamma._pairs is None for gamma, _ in warm} == {True, False}
 
 
+def test_scf_magnetic_state_adopts_the_eigensolver_rows(monkeypatch):
+    # at A != 0 the state holds the very rows the last eigensolve returned, not a copy
+    spec = replace(_unpolarised_h(), alpha=0.2)
+    initial = white_noise_state(spec.cell, seed=3)  # a random transverse potential
+    calls = _record_solves(monkeypatch, "eigensolve")
+    state = scf_solve(spec, SCFConfig(tol=1e-6, deg_threshold=0.0, max_iter=1, seed=0), initial=initial)
+    assert calls[-1]["kwargs"]["components"] == 2
+    assert np.shares_memory(state.gamma.block, calls[-1]["orbitals"])
+
+
 def test_spin_pairs_of_real_rows_are_complex_spinors():
     # along chi = up the pairs are phi (x) up and phi (x) down
     X = np.random.default_rng(0).standard_normal((2, 1, 4, 4, 4))
-    pairs = scf._spin_pairs(X, 3, np.array([1.0, 0.0], dtype=complex))
+    pairs = _spin_pairs(X, 3, np.array([1.0, 0.0], dtype=complex))
     assert pairs.dtype == np.complex128 and pairs.shape == (3, 2, 4, 4, 4)
     for row, (phi, spin) in enumerate([(0, 0), (0, 1), (1, 0)]):
         assert np.array_equal(pairs[row, spin], X[phi, 0])
@@ -1182,7 +1192,7 @@ def test_spin_pairs_along_an_axis_are_orthonormal_and_pair_to_zero_spin():
     phi = np.linalg.qr(np.random.default_rng(5).standard_normal((6**3, 2)))[0].T / math.sqrt(cell.dV)
     scale = np.max(phi**2)
     for chi, exact in ((np.array([0.6, 0.8], dtype=complex), True), (scf._spin_axis(3), False)):
-        pairs = scf._spin_pairs(phi.reshape(2, 1, 6, 6, 6), 4, chi)
+        pairs = _spin_pairs(phi.reshape(2, 1, 6, 6, 6), 4, chi)
         flat = pairs.reshape(4, -1)
         assert np.abs(flat.conj() @ flat.T * cell.dV - np.eye(4)).max() <= 1e-13
         orbitals = tuple(SpinorField(cell, x) for x in pairs)
