@@ -15,8 +15,7 @@ and on the sampled zero mode.
 Exit status: 0 when every residual in the record is below its
 configured tolerance, 2 for a flagged (non-converged or violating) run,
 1 for configuration or usage errors, and 3 when the eigensolver fails on
-the first SCF iterate (there is no state, so no record is written).  The
-environment variable ``MAGRHF_THREADS`` caps the FFT worker pool.
+the first SCF iterate (there is no state, so no record is written).
 """
 
 from __future__ import annotations

@@ -26,12 +26,11 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # numpy loads it on first use: here that is at import, not inside a solve
 
 __all__ = [
     "Cell",
@@ -49,9 +48,6 @@ __all__ = [
     "restrict",
     "prolong",
 ]
-
-# MAGRHF_THREADS caps the worker pool handed to the FFT backend.
-_FFT_WORKERS = max(1, int(os.environ.get("MAGRHF_THREADS", "1")))
 
 #: a table that varies along one grid axis per entry: shapes (n, 1, 1), (1, n, 1), (1, 1, n)
 Axes = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -198,13 +194,22 @@ class Cell:
         v.setflags(write=False)  # and so its views
         return tuple(v.reshape([-1 if i == axis else 1 for i in range(3)]) for axis in range(3))
 
+    # Each transform is three 1-D passes.  The first writes a new array and the
+    # complex passes after it run in place there, so the caller's array is never
+    # written and no pass allocates per axis as np.fft.fftn does (the last pass
+    # of from_half_spectral writes its real output).
+
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Series coefficients ``fftn(values) / n**3`` over the last three axes."""
-        return scipy.fft.fftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        c = np.fft.fft(values, axis=-1, norm="forward")
+        np.fft.fft(c, axis=-2, norm="forward", out=c)
+        return np.fft.fft(c, axis=-3, norm="forward", out=c)
 
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         """Samples of the series with coefficients ``coeffs`` (the inverse of :meth:`to_spectral`)."""
-        return scipy.fft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        f = np.fft.ifft(coeffs, axis=-3, norm="forward")
+        np.fft.ifft(f, axis=-2, norm="forward", out=f)
+        return np.fft.ifft(f, axis=-1, norm="forward", out=f)
 
     def to_half_spectral(self, values: np.ndarray) -> np.ndarray:
         """The coefficients of :meth:`to_spectral` with ``m_z >= 0`` (Nyquist included), for real ``values``.
@@ -212,12 +217,16 @@ class Cell:
         Real samples have Hermitian coefficients, ``c_{-k} = conj(c_k)``, so
         this half determines the rest; it costs about half a full transform.
         """
-        return scipy.fft.rfftn(values, s=(self.n,) * 3, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        c = np.fft.rfft(values, axis=-1, norm="forward")
+        np.fft.fft(c, axis=-2, norm="forward", out=c)
+        return np.fft.fft(c, axis=-3, norm="forward", out=c)
 
     def from_half_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of the Hermitian series whose half spectrum is ``coeffs`` (the inverse of
         :meth:`to_half_spectral`)."""
-        return scipy.fft.irfftn(coeffs, s=(self.n,) * 3, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        f = np.fft.ifft(coeffs, axis=-3, norm="forward")
+        np.fft.ifft(f, axis=-2, norm="forward", out=f)
+        return np.fft.irfft(f, n=self.n, axis=-1, norm="forward")
 
     def half_sum(self, p: np.ndarray) -> np.ndarray:
         """Full-spectrum sum over the last three axes of a table ``p`` even in ``k``, given on the half spectrum.
@@ -335,15 +344,13 @@ def inner(f: Field, g: Field) -> complex | float:
 def _gram(cell: Cell, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Gram matrix ``dV conj(A) B^T`` of two row blocks, shapes (ma|mb, N).
 
-    One ``zgemm`` (``dgemm`` for real rows) on the transposed
-    (Fortran-ordered) views conjugates ``A`` inside BLAS, so no
-    conjugated copy is made.
+    Real rows take one matrix product.  Complex rows go through
+    ``np.vecdot``, which conjugates ``A`` inside its inner product, so no
+    conjugated copy of a block is made.
     """
-    # imported here: loading scipy.linalg with this module, ahead of the
-    # rest of the package, raised the peak RSS of ``import magrhf`` by 0.7 MB
-    from scipy.linalg.blas import get_blas_funcs
-
-    return get_blas_funcs("gemm", (A, B))(cell.dV, A.T, B.T, trans_a=2)
+    g = np.vecdot(A[:, None], B[None]) if np.iscomplexobj(A) or np.iscomplexobj(B) else A @ B.T
+    g *= cell.dV
+    return g
 
 
 def gradient(f: ScalarField) -> VectorField:

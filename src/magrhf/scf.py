@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
+import numpy.random  # numpy loads it on first use: here that is at import, not inside a solve
 
 from .density import (
     DensityMatrix,
@@ -161,14 +161,9 @@ def _row_norms(cell: Cell, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", f, f) * cell.dV)
 
 
-def _lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> None:
-    """``Y = alpha C^T X + beta Y`` in place, as one ``zgemm`` (``dgemm`` for a real ``Y``)
-    on the transposed views.
-
-    ``Y`` must be C-ordered so that ``Y.T`` is the Fortran-ordered
-    array BLAS overwrites.
-    """
-    get_blas_funcs("gemm", (Y,))(alpha, X.T, C, beta=beta, c=Y.T, overwrite_c=1)
+def _lincomb(Y: np.ndarray, C: np.ndarray, X: np.ndarray) -> None:
+    """``Y = C^T X`` in place: the rows of ``Y`` become combinations of the rows of ``X``."""
+    np.matmul(C.T, X, out=Y)
 
 
 def _whiten(g: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -196,7 +191,7 @@ def _complement(cell: Cell, B: np.ndarray, W: np.ndarray) -> int:
     """
     before = _row_norms(cell, W)
     for _ in range(2):
-        _lincomb(W, _gram(cell, B, W), B, -1.0, 1.0)
+        W -= _gram(cell, B, W).T @ B
         g = _gram(cell, W, W)
         after = np.sqrt(np.real(np.diagonal(g)))
         keep = after > 0.5 * before
@@ -256,13 +251,13 @@ def eigensolve(
     slots are as wide as their blocks are.  ``W`` is projected against
     ``[X | P]`` (a second pass only where the first removed more than
     half of a row, "twice is enough") and whitened into orthonormal rows
-    before its apply, so ``S`` is orthonormal and one ``zgemm`` gives the
+    before its apply, so ``S`` is orthonormal and one Gram product gives the
     Rayleigh-Ritz matrix ``S^H HS``.  Its Ritz vectors
     ``Y`` and the conjugate directions ``Z``, the P and W part of ``Y``
     made orthonormal to ``Y`` in the small space (Hetmaniuk & Lehoucq,
     J. Comput. Phys. 218 (2006) 324) by two passes of projection and
     whitening, give the next ``[X | P]`` and its
-    H image by one ``zgemm`` each over ``S`` and ``HS`` into the other
+    H image by one matrix product each over ``S`` and ``HS`` into the other
     buffer: the implicit update of Knyazev (SIAM J. Sci. Comput. 23
     (2001) 517).  ``X`` leaves each step as Ritz vectors, so it is not
     rotated again.
@@ -270,7 +265,7 @@ def eigensolve(
     With ``real=True`` the operator must be real symmetric on real rows
     (the A = 0 scalar ``h``, whose eigenvectors can be chosen real):
     every block, the start and the result are float64, the products are
-    ``dgemm`` and the preconditioner goes through the half-spectrum pair
+    real and the preconditioner goes through the half-spectrum pair
     (:meth:`~magrhf.fields.Cell.to_half_spectral`).  A complex ``X0`` is
     refused there; the caller converts it.
     """

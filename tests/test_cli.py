@@ -328,9 +328,20 @@ def test_runners_look_up_patched_names(monkeypatch, tmp_path):
     assert calls == ["run", "grid_residual", "grid_residual", "run", "tf_minimize"]
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the zero-mode integrals are closed forms, so no quadrature is loaded
-    code = "import sys, magrhf.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=ENV)
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # the zero-mode integrals are closed forms, so no quadrature is loaded; and numpy
+    # is the only runtime dependency, so no run loads scipy at all: the solves run
+    # here, which catches imports made inside functions
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(BASE, fh)
+    out_dir = os.path.join(tmp_path, "out")
+    code = (
+        "import sys, magrhf.cli\n"
+        "integrate = 'scipy.integrate' in sys.modules\n"
+        f"codes = [magrhf.cli.main([sub, '--config', {cfg_path!r}, '--out', {out_dir!r}]) for sub in ('scf', 'zero-mode')]\n"
+        "print(integrate, codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False [0, 0] []"

@@ -1,6 +1,8 @@
 """Spectral field representations, differential operators, projection,
 and the Poisson solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -22,6 +24,7 @@ from magrhf.fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    _gram,
     curl,
     divergence,
     gradient,
@@ -72,6 +75,49 @@ def test_spectral_roundtrip_and_parseval():
     c = CELL.to_spectral(psi.values)
     spectral_norm2 = float(np.sum(np.abs(c) ** 2)) * CELL.volume
     assert abs(spectral_norm2 - psi.norm() ** 2) < 1e-12 * spectral_norm2
+
+
+@pytest.mark.parametrize("name", ["to_spectral", "from_spectral", "to_half_spectral", "from_half_spectral"])
+def test_transforms_match_numpy_fftn_on_read_only_noise(name):
+    # batched white noise fills every mode, the Nyquist planes included; a read-only
+    # input shows that the in-place passes write only into the transform's own array
+    n = 12
+    cell, n3, axes = Cell(5.0, n), n**3, (-3, -2, -1)
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal((4, 2) + (n,) * 3)
+    noise = real + 1j * rng.standard_normal(real.shape)
+    x, want = {
+        "to_spectral": (noise, np.fft.fftn(noise, axes=axes) / n3),
+        "from_spectral": (noise, np.fft.ifftn(noise, axes=axes) * n3),
+        "to_half_spectral": (real, np.fft.rfftn(real, axes=axes) / n3),
+        "from_half_spectral": (cell.to_half_spectral(real), real),  # the half-spectrum round trip
+    }[name]
+    x.setflags(write=False)
+    got = getattr(cell, name)(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rows", [(8, 2), (2, 8)])
+def test_gram_of_unequal_blocks_makes_no_block_copy(rows, dtype):
+    # dV conj(A) B^T of an 8-row and a 2-row block in either order, with no conjugated
+    # or transposed copy of either block
+    cell = Cell(5.0, 16)
+    rng = np.random.default_rng(rows[0])
+    A, B = (rng.standard_normal((m, 2 * cell.n**3)) for m in rows)
+    if dtype is complex:
+        A, B = A + 1j * rng.standard_normal(A.shape), B + 1j * rng.standard_normal(B.shape)
+    tracemalloc.start()
+    try:
+        g = _gram(cell, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = cell.dV * A.conj() @ B.T
+    assert g.shape == rows and g.dtype == want.dtype
+    assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+    assert peak < 0.1 * max(A.nbytes, B.nbytes)
 
 
 def test_separable_tables_match_the_dense_meshgrid_tables():
